@@ -61,6 +61,8 @@ class QuantizationProblem:
     a: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kappa_c, self.kappa_q, self.a))):
+            raise ValueError("well depths and radius must be finite")
         if self.kappa_c < 0.0 or self.kappa_q < 0.0:
             raise ValueError("well depths must be non-negative")
         if self.a <= 0.0:
@@ -182,54 +184,78 @@ def verify_determinant(state: BoundState, prob: QuantizationProblem) -> float:
     return _det_relative_residual(state.x, prob)
 
 
-def _bisect(fun, xl: float, xr: float, tol: float) -> float:
-    if xl == xr:
-        return xl
-    fl = fun(xl)
-    while xr - xl > tol:
-        xm = 0.5 * (xl + xr)
-        if xm <= xl or xm >= xr:
-            break  # hit the double-precision floor
+def _bisect(fun, xl, xr, tol: float):
+    """Bisect every bracket [xl[i], xr[i]] of fun at once, down to width tol.
+
+    fun maps an array of points to an array of values, and each halving
+    makes one call for all brackets still open.  Each bracket follows the
+    plain bisection rule: it stops once its width is at most tol, when the
+    midpoint no longer splits it (the double-precision floor), or at a
+    midpoint where fun is exactly zero, which is then its root.  Returns the
+    array of final bracket midpoints; a bracket (x, x) returns x.
+    """
+    xl = np.array(xl, dtype=float)
+    xr = np.array(xr, dtype=float)
+    open_ = np.flatnonzero(xr - xl > tol)
+    if not open_.size:
+        return 0.5 * (xl + xr)
+    fl = fun(xl[open_])
+    while open_.size:
+        xm = 0.5 * (xl[open_] + xr[open_])
+        splits = (xm > xl[open_]) & (xm < xr[open_])
+        open_, xm, fl = open_[splits], xm[splits], fl[splits]
+        if not open_.size:
+            break
         fm = fun(xm)
-        if fm == 0.0:
-            return xm
-        if (fl < 0.0) != (fm < 0.0):
-            xr = xm
-        else:
-            xl, fl = xm, fm
+        zero = fm == 0.0
+        # an exact zero closes its bracket onto the midpoint from both sides
+        left = ((fl < 0.0) != (fm < 0.0)) | zero
+        right = ~left | zero
+        xr[open_[left]] = xm[left]
+        xl[open_[right]] = xm[right]
+        fl = np.where(left, fl, fm)
+        still = xr[open_] - xl[open_] > tol
+        open_, fl = open_[still], fl[still]
     return 0.5 * (xl + xr)
 
 
 def _scan_brackets(grid, values, fun, kappa_q: float | None):
     """Sign-change brackets of a sampled function, split at the threshold band.
 
-    Returns (brackets, flagged): plain sign-change intervals, plus the
-    threshold position when the sign change hides inside the excluded band
-    |x - kappa_q| < 1e-9 (a root there cannot be refined further).
+    Returns (brackets, flagged) in grid order: (x, x) for a sample that is
+    exactly zero, the cell for every other sign change, plus the threshold
+    position when the sign change hides inside the excluded band
+    |x - kappa_q| < 1e-9 (a root there cannot be refined further).  Only the
+    cell that straddles kappa_q is split at the band, at the cost of two
+    calls of fun.
     """
-    brackets: list[tuple[float, float]] = []
+    gl, gr = values[:-1], values[1:]
+    cells = np.flatnonzero((gl * gr < 0.0) | (gl == 0.0))
+    lo = grid[cells]
+    hi = np.where(gl[cells] == 0.0, lo, grid[cells + 1])
+    brackets = list(zip(lo.tolist(), hi.tolist()))
     flagged: list[float] = []
-    for i in range(len(grid) - 1):
-        gl, gr = values[i], values[i + 1]
-        xl, xr = grid[i], grid[i + 1]
-        if gl == 0.0:
-            brackets.append((xl, xl))
-            continue
-        if gl * gr >= 0.0:
-            continue
-        if kappa_q is not None and xl < kappa_q < xr:
-            edge_l = kappa_q - DEGENERATE_HALF_WIDTH
-            edge_r = kappa_q + DEGENERATE_HALF_WIDTH
-            gel = fun(edge_l) if edge_l > xl else gl
-            ger = fun(edge_r) if edge_r < xr else gr
-            if gl * gel < 0.0:
-                brackets.append((xl, edge_l))
-            if ger * gr < 0.0:
-                brackets.append((edge_r, xr))
-            if gel * ger < 0.0:
-                flagged.append(kappa_q)
-        else:
-            brackets.append((xl, xr))
+    if kappa_q is None:
+        return brackets, flagged
+    i = int(np.searchsorted(grid, kappa_q)) - 1   # grid[i] < kappa_q <= grid[i + 1]
+    if not (0 <= i < grid.size - 1 and kappa_q < grid[i + 1]
+            and values[i] * values[i + 1] < 0.0):
+        return brackets, flagged
+    k = int(np.searchsorted(cells, i))             # the bracket of cell i
+    xl, xr = brackets[k]
+    gl, gr = values[i], values[i + 1]
+    edge_l = kappa_q - DEGENERATE_HALF_WIDTH
+    edge_r = kappa_q + DEGENERATE_HALF_WIDTH
+    gel = fun(edge_l) if edge_l > xl else gl
+    ger = fun(edge_r) if edge_r < xr else gr
+    split = []
+    if gl * gel < 0.0:
+        split.append((xl, edge_l))
+    if ger * gr < 0.0:
+        split.append((edge_r, xr))
+    if gel * ger < 0.0:
+        flagged.append(kappa_q)
+    brackets[k:k + 1] = split
     return brackets, flagged
 
 
@@ -269,15 +295,15 @@ def find_bound_states(prob: QuantizationProblem, *,
     grid = grid[keep]
     values = mismatch(grid, prob)
 
-    def g(t: float) -> float:
-        return mismatch(float(t), prob)
+    def g(t):
+        return mismatch(t, prob)
 
     band_center = kq if lo < kq < hi else None
     brackets, flagged = _scan_brackets(grid, values, g, band_center)
+    xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
 
     roots: list[float] = []
-    for xl, xr in brackets:
-        root = _bisect(g, xl, xr, refine_tol)
+    for root in _bisect(g, xl, xr, refine_tol).tolist():
         if roots and abs(root - roots[-1]) <= refine_tol:
             continue
         roots.append(root)
@@ -329,14 +355,9 @@ def complex_limit_roots(kappa: float, *,
 
     n = max(16, math.ceil(scan_points_per_pi * kappa / math.pi))
     grid = np.linspace(lo, hi, n)
-    values = h(grid)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(_bisect(lambda t: float(h(t)), grid[i], grid[i + 1], refine_tol))
-    return roots
+    brackets, _ = _scan_brackets(grid, h(grid), h, None)
+    xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
+    return _bisect(h, xl, xr, refine_tol).tolist()
 
 
 def trial_complex_states(prob: QuantizationProblem, *,

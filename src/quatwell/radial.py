@@ -70,6 +70,8 @@ class PotentialSpec:
     a: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.v1, self.v2, self.v3, self.a))):
+            raise ValueError("potential components and radius must be finite")
         if self.v1 <= 0.0:
             raise ValueError("v1 must be positive")
         if self.a <= 0.0:

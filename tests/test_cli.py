@@ -124,6 +124,17 @@ class TestUsageErrors:
             main(["solve", "--kappa-c", "-3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--kappa-c", "nan"], ["--kappa-c", "inf"], ["--kappa-c", "5", "--kappa-q", "inf"],
+        ["--kappa-c", "5", "--a", "nan"], ["--kappa-c", "5", "--a", "inf"],
+        ["--v1", "inf"], ["--v1", "4", "--v2", "nan"], ["--v1", "4", "--v3=-inf"],
+    ])
+    def test_non_finite_input(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", *argv])
+        assert err.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_three_spectra_fig1(self, capsys):

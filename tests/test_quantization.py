@@ -11,7 +11,9 @@ from quatwell.quantization import (
     EmptyWindowError,
     QuantizationPoleError,
     QuantizationProblem,
+    _bisect,
     _scan_brackets,
+    complex_limit_roots,
     f_quantization,
     find_bound_states,
     kappa_trial,
@@ -26,6 +28,17 @@ from .oracles import complex_well_roots, quaternionic_well_roots
 KC = 5 * math.pi
 FIG1 = QuantizationProblem(KC, 2.5 * math.pi)
 FIG2 = QuantizationProblem(KC, 5 * math.pi)
+
+
+class TestQuantizationProblem:
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa_c": math.nan}, {"kappa_c": math.inf},
+        {"kappa_c": 1.0, "kappa_q": math.nan}, {"kappa_c": 1.0, "kappa_q": math.inf},
+        {"kappa_c": 1.0, "a": math.nan}, {"kappa_c": 1.0, "a": math.inf},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            QuantizationProblem(**kwargs)
 
 
 class TestQuantizationFunction:
@@ -142,6 +155,16 @@ class TestFindBoundStates:
             for a, b in zip(base.states, fine.states):
                 assert abs(a.x - b.x) < 1e-10
 
+    def test_roots_are_python_floats(self):
+        for prob in (FIG1, FIG2):
+            states = find_bound_states(prob).states
+            assert states and all(type(st.x) is float for st in states)
+            assert all(type(st.energy) is float for st in states)
+        roots = complex_limit_roots(KC)
+        assert len(roots) == 5 and all(type(x) is float for x in roots)
+        trial = trial_complex_states(FIG1).states
+        assert trial and all(type(st.x) is float for st in trial)
+
     def test_mismatched_potential_rejected(self):
         from quatwell.radial import PotentialSpec
         with pytest.raises(ValueError):
@@ -191,6 +214,77 @@ class TestScanBrackets:
         lo, hi = brackets[0]
         assert lo == pytest.approx(kq + 1e-9)
         assert hi == 1.5
+
+    def test_many_brackets_in_grid_order(self):
+        # roots at 0.7, 2.04 and 3.2, an exact zero sample at 1.5, and the
+        # cell [2.0, 2.1] straddling the threshold band at kq = 2.05
+        kq = 2.05
+
+        def fun(x):
+            return (x - 0.7) * (x - 1.5) * (x - 2.04) * (x - 3.2)
+        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.1, 2.5, 3.0, 3.5])
+        vals = np.array([fun(x) for x in grid])
+        assert vals[3] == 0.0
+        brackets, flagged = _scan_brackets(grid, vals, fun, kq)
+        assert brackets == [(0.5, 1.0), (1.5, 1.5), (2.0, kq - 1e-9), (3.0, 3.5)]
+        assert flagged == []
+
+
+def _scalar_bisect(fun, xl, xr, tol):
+    """One bracket at a time, one scalar evaluation per halving."""
+    if xl == xr:
+        return xl
+    fl = fun(xl)
+    while xr - xl > tol:
+        xm = 0.5 * (xl + xr)
+        if xm <= xl or xm >= xr:
+            break
+        fm = fun(xm)
+        if fm == 0.0:
+            return xm
+        if (fl < 0.0) != (fm < 0.0):
+            xr = xm
+        else:
+            xl, fl = xm, fm
+    return 0.5 * (xl + xr)
+
+
+class TestBatchedBisect:
+    @pytest.mark.parametrize("prob", [FIG1, FIG2], ids=["fig1", "fig2"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.0])
+    def test_matches_scalar_rule_bit_for_bit(self, prob, tol):
+        grid = np.linspace(1e-6, prob.x_max - 1e-6, 2048)
+        grid = grid[np.abs(grid - prob.kappa_q) >= 1e-9]
+
+        def g(t):
+            return mismatch(t, prob)
+        brackets, _ = _scan_brackets(grid, g(grid), g, prob.kappa_q)
+        brackets.append((brackets[2][0], brackets[2][0]))   # an exact-zero bracket
+        xl, xr = np.array(brackets).T
+        batched = _bisect(g, xl, xr, tol).tolist()
+        assert batched == [_scalar_bisect(g, lo, hi, tol) for lo, hi in brackets]
+        assert batched[-1] == brackets[2][0]
+
+    def test_exact_zero_midpoint_is_the_root(self):
+        def fun(x):
+            return np.asarray(x) - 0.5
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return fun(x)
+        brackets = [(0.0, 1.0), (0.25, 1.0), (0.3, 0.3), (0.4, 0.4 + 1e-13)]
+        xl, xr = np.array(brackets).T
+        got = _bisect(counted, xl, xr, 1e-12).tolist()
+        assert got == [_scalar_bisect(fun, lo, hi, 1e-12) for lo, hi in brackets]
+        assert got[0] == 0.5 and got[2] == 0.3
+        # one array call for the left ends, then one per halving
+        assert calls[0] == 2 and max(calls) == 2 and len(calls) < 45
+
+    def test_no_brackets(self):
+        def fun(x):
+            raise AssertionError("nothing to evaluate")
+        assert _bisect(fun, [], [], 1e-12).tolist() == []
 
 
 class TestVerifyDeterminant:

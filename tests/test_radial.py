@@ -62,6 +62,15 @@ class TestPotentialSpec:
         with pytest.raises(ValueError):
             PotentialSpec(1.0, a=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"v1": math.nan}, {"v1": math.inf}, {"v1": 1.0, "v2": math.nan},
+        {"v1": 1.0, "v2": -math.inf}, {"v1": 1.0, "v3": math.inf},
+        {"v1": 1.0, "a": math.nan}, {"v1": 1.0, "a": math.inf},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            PotentialSpec(**kwargs)
+
 
 class TestCharacteristicExponents:
     def test_complex_well_reduction(self):
