@@ -67,6 +67,15 @@ class QuantizationProblem:
             raise ValueError("well depths must be non-negative")
         if self.a <= 0.0:
             raise ValueError("well radius a must be positive")
+        # kappa**4 raises OverflowError, while the sum of two finite
+        # fourth powers overflows to inf
+        try:
+            window = math.isfinite(self.x_max)
+        except OverflowError:
+            window = False
+        if not window:
+            raise ValueError("well too deep: (kappa_c^4 + kappa_q^4)^(1/4) "
+                             "overflows a float")
 
     @property
     def x_max(self) -> float:
@@ -107,7 +116,7 @@ class BoundStateSet:
 
 def kappa_trial(prob: QuantizationProblem) -> float:
     """Depth of the trial-complex comparison well, (kappa_c^4 + kappa_q^4)^(1/4)."""
-    return (prob.kappa_c ** 4 + prob.kappa_q ** 4) ** 0.25
+    return prob.x_max
 
 
 def _num_den(x, kappa_c: float, kappa_q: float):

@@ -42,14 +42,8 @@ class Quaternion:
 
     def __mul__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            a, b, c, d = self.w, self.x, self.y, self.z
-            e, f, g, h = other.w, other.x, other.y, other.z
-            return Quaternion(
-                a * e - b * f - c * g - d * h,
-                a * f + b * e + c * h - d * g,
-                a * g - b * h + c * e + d * f,
-                a * h + b * g - c * f + d * e,
-            )
+            return Quaternion(*hamilton_product((self.w, self.x, self.y, self.z),
+                                                (other.w, other.x, other.y, other.z)))
         if isinstance(other, (int, float, complex)):
             return self * _embed(other)
         return NotImplemented
@@ -77,6 +71,21 @@ class Quaternion:
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+
+
+def hamilton_product(p, q):
+    """Components (w, x, y, z) of the Hamilton product p*q.
+
+    p and q are component quadruples (w, x, y, z).  Only + - * are used, so
+    the components may be floats or equally shaped numpy arrays; an array of
+    shape (4, N) holds N quaternions, one per column.
+    """
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
 
 
 def _embed(c) -> Quaternion:

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quaternion import J, ONE, Quaternion, symplectic_join
+import numpy as np
+
+from .quaternion import Quaternion
 
 _UNIT_TOL = 1e-12
 
@@ -57,12 +59,12 @@ def apply_automorphism(lam: Quaternion, u: Quaternion) -> Quaternion:
     return u.conjugate() * lam * u
 
 
-def canonicalize(ev: ImaginaryEigenvalue) -> CanonicalForm:
-    """Unit u rotating i*e1 + j*e2 + k*e3 onto the +i axis.
+def canonical_rotation(e1, e2, e3):
+    """Energy n = |lam| and unit u rotating lam = i*e1 + j*e2 + k*e3 onto +i*n.
 
     The generic rotation is
 
-        u = sqrt((e1 + n) / (2n)) * [1 - j*(e3 + i*e2)/(e1 + n)],  n = |ev|,
+        u = sqrt((e1 + n) / (2n)) * [1 - j*(e3 + i*e2)/(e1 + n)],
 
     which degenerates on the -i ray itself.  Away from it, e1 + n is
     evaluated cancellation-free as (e2^2 + e3^2)/(n - e1), keeping the
@@ -70,16 +72,31 @@ def canonicalize(ev: ImaginaryEigenvalue) -> CanonicalForm:
     (conj(j) * (-i n) * j = i n) takes over only once the transverse
     component it leaves unrotated, sqrt(e2^2 + e3^2) <= sqrt(2n * shifted),
     is below rounding level.  The zero eigenvalue maps to (0, 1).
+
+    Works elementwise on floats or broadcastable arrays and returns
+    (n, (w, x, y, z)) with the components of u as float arrays.
     """
-    n = ev.norm
-    if n == 0.0:
-        return CanonicalForm(0.0, ONE)
-    if ev.e1 >= 0.0:
-        shifted = ev.e1 + n
-    else:
-        shifted = (ev.e2 * ev.e2 + ev.e3 * ev.e3) / (n - ev.e1)
-    if shifted < 1e-26 * n:
-        return CanonicalForm(n, J)
-    scale = math.sqrt(shifted / (2.0 * n))
-    c2 = complex(-ev.e3, -ev.e2) / shifted
-    return CanonicalForm(n, symplectic_join(scale, scale * c2))
+    e1, e2, e3 = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in (e1, e2, e3)))
+    n = np.hypot(np.hypot(e1, e2), e3)
+    zero = n == 0.0
+    # the n = 0 entries divide 0 by 0 here and are masked out below
+    with np.errstate(all="ignore"):
+        shifted = np.where(e1 >= 0.0, e1 + n, (e2 * e2 + e3 * e3) / (n - e1))
+        on_ray = shifted < 1e-26 * n
+        scale = np.sqrt(shifted / (2.0 * n))
+        y = scale * (-e3 / shifted)
+        z = -(scale * (-e2 / shifted))
+    generic = ~(zero | on_ray)
+    w = np.where(generic, scale, np.where(zero, 1.0, 0.0))
+    y = np.where(generic, y, np.where(on_ray, 1.0, 0.0))
+    z = np.where(generic, z, 0.0)
+    return n, (w, np.zeros_like(n), y, z)
+
+
+def canonicalize(ev: ImaginaryEigenvalue) -> CanonicalForm:
+    """Unit u rotating i*e1 + j*e2 + k*e3 onto the +i axis.
+
+    The one-eigenvalue case of `canonical_rotation`, in Python floats.
+    """
+    n, u = canonical_rotation(ev.e1, ev.e2, ev.e3)
+    return CanonicalForm(float(n), Quaternion(*map(float, u)))

@@ -6,7 +6,9 @@ reality of the quantization function below the quaternionic threshold,
 phase-rotation invariance of the spectrum, and agreement with the complex
 limit -- and reports one pass/fail per property with the measured residual.
 Sampling is seeded, so a given configuration always produces the same
-report.
+report.  The sampled checks evaluate all their samples as arrays, through
+the library's own `quaternion.hamilton_product` and
+`spectral.canonical_rotation`, and fold residuals so that a NaN fails.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import Quaternion
+from . import quaternion, spectral
 from .radial import PotentialSpec, characteristic_data
-from .spectral import ImaginaryEigenvalue, canonicalize
 from .quantization import (
     EmptyWindowError,
     QuantizationProblem,
@@ -44,126 +45,148 @@ def _check(name, measured, tolerance, detail=""):
                        float(tolerance), detail)
 
 
-def _random_quaternions(rng, n):
-    comps = rng.uniform(-1.0, 1.0, size=(n, 4))
-    return [Quaternion(*row) for row in comps]
+def _worst(residuals):
+    """Largest residual, 0 for none; a NaN residual is the result, not skipped."""
+    return np.max(residuals, initial=0.0)
+
+
+def _norm(q):
+    """Norms of the columns of a (4, N) array of quaternions."""
+    return np.sqrt((q * q).sum(axis=0))
+
+
+def _mul(p, q):
+    """Column-wise products of two (4, N) arrays of quaternions."""
+    return np.array(quaternion.hamilton_product(p, q))
 
 
 def _algebra_checks(rng, n, tol):
-    ps = _random_quaternions(rng, n)
-    qs = _random_quaternions(rng, n)
-    rs = _random_quaternions(rng, n)
-    worst_assoc = 0.0
-    worst_mult = 0.0
-    for p, q, r in zip(ps, qs, rs):
-        lhs = (p * q) * r
-        rhs = p * (q * r)
-        scale = max(p.norm() * q.norm() * r.norm(), 1e-30)
-        worst_assoc = max(worst_assoc, (lhs - rhs).norm() / scale)
-        nm = max(p.norm() * q.norm(), 1e-30)
-        worst_mult = max(worst_mult, abs((p * q).norm() - p.norm() * q.norm()) / nm)
-    yield _check("quaternion-associativity", worst_assoc, tol, f"{n} random triples")
-    yield _check("quaternion-norm-multiplicativity", worst_mult, tol, f"{n} random pairs")
+    p, q, r = (rng.uniform(-1.0, 1.0, size=(n, 4)).T for _ in range(3))
+    pq = _mul(p, q)
+    norm_p, norm_q, norm_r = _norm(p), _norm(q), _norm(r)
+    assoc = (_norm(_mul(pq, r) - _mul(p, _mul(q, r)))
+             / np.maximum(norm_p * norm_q * norm_r, 1e-30))
+    mult = np.abs(_norm(pq) - norm_p * norm_q) / np.maximum(norm_p * norm_q, 1e-30)
+    yield _check("quaternion-associativity", _worst(assoc), tol, f"{n} random triples")
+    yield _check("quaternion-norm-multiplicativity", _worst(mult), tol, f"{n} random pairs")
 
 
 def _canonicalization_check(rng, n, tol):
-    worst = 0.0
     triples = rng.uniform(-1.0, 1.0, size=(n, 3))
     # force coverage of the degenerate -i ray and its neighborhood
     extra = [(-1.0, 0.0, 0.0), (-2.5, 0.0, 0.0), (-1.0, 1e-9, 0.0), (-1.0, 0.0, -1e-10)]
-    for e1, e2, e3 in list(map(tuple, triples)) + extra:
-        ev = ImaginaryEigenvalue(e1, e2, e3)
-        form = canonicalize(ev)
-        rotated = form.u.conjugate() * ev.as_quaternion() * form.u
-        target = Quaternion(0.0, form.energy, 0.0, 0.0)
-        scale = max(1.0, ev.norm)
-        worst = max(worst, (rotated - target).norm() / scale,
-                    abs(form.u.norm() - 1.0))
-    return _check("eigenvalue-canonicalization", worst, tol,
+    e1, e2, e3 = np.vstack([triples, extra]).T
+    energy, u = spectral.canonical_rotation(e1, e2, e3)
+    u = np.array(u)
+    conj_u = u * np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+    lam = np.array([np.zeros_like(e1), e1, e2, e3])
+    rotated = _mul(_mul(conj_u, lam), u)
+    rotated[1] -= energy
+    worst = np.maximum(_norm(rotated) / np.maximum(1.0, energy), np.abs(_norm(u) - 1.0))
+    return _check("eigenvalue-canonicalization", _worst(worst), tol,
                   f"{n} random eigenvalues plus degenerate ray")
 
 
-def _random_well(rng):
-    v1 = rng.uniform(0.5, 40.0)
-    q = rng.uniform(0.0, 3.0) * math.sqrt(v1)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
+# bounds of the draws (V1, Q, phase) behind one random well; see _well
+_WELL_LOW = (0.5, 0.0, 0.0)
+_WELL_HIGH = (40.0, 3.0, 2.0 * math.pi)
+
+
+def _well(v1, q_factor, phase):
+    """Random well with |(V2, V3)| = q_factor * sqrt(V1) at the given phase."""
+    q = q_factor * math.sqrt(v1)
     return PotentialSpec(v1, q * math.cos(phase), q * math.sin(phase))
 
 
 def _quartic_check(rng, n, tol):
-    worst = 0.0
-    produced = 0
-    while produced < n:
-        pot = _random_well(rng)
-        span = pot.total_threshold
-        energy = rng.uniform(1e-3, 1.0) * (span - 2e-3)
-        if (abs(energy - pot.q_threshold) < 1e-6
-                or abs(energy - pot.total_threshold) < 1e-6):
-            continue
-        produced += 1
-        cd = characteristic_data(energy, pot)
-        const = (pot.v1 ** 2 + pot.v2 ** 2 + pot.v3 ** 2 - energy ** 2)
-        for nu in (cd.nu_minus, cd.nu_plus):
-            nu2 = nu * nu
-            resid = abs(nu2 * nu2 - 2.0 * pot.v1 * nu2 + const)
-            scale = abs(nu2) ** 2 + 2.0 * pot.v1 * abs(nu2) + abs(const)
-            worst = max(worst, resid / max(scale, 1e-30))
-    return _check("characteristic-quartic", worst, tol, f"{n} random wells")
+    wells, energies = [], []
+    while len(wells) < n:
+        # one row per attempt, holding its draws in the order they are used;
+        # an attempt yields at most one sample, so the block cannot overdraw
+        block = rng.uniform((*_WELL_LOW, 1e-3), (*_WELL_HIGH, 1.0),
+                            size=(n - len(wells), 4))
+        for v1, q_factor, phase, e_factor in block.tolist():
+            pot = _well(v1, q_factor, phase)
+            top = pot.total_threshold
+            energy = e_factor * (top - 2e-3)
+            if abs(energy - pot.q_threshold) < 1e-6 or abs(energy - top) < 1e-6:
+                continue
+            wells.append(pot)
+            energies.append(energy)
+    data = map(characteristic_data, energies, wells)
+    nu = np.array([(cd.nu_minus, cd.nu_plus) for cd in data])
+    v1 = np.array([[pot.v1] for pot in wells])
+    const = np.array([[pot.v1 ** 2 + pot.v2 ** 2 + pot.v3 ** 2 - energy ** 2]
+                      for pot, energy in zip(wells, energies)])
+    nu2 = nu * nu
+    resid = np.abs(nu2 * nu2 - 2.0 * v1 * nu2 + const)
+    scale = np.abs(nu2) ** 2 + 2.0 * v1 * np.abs(nu2) + np.abs(const)
+    return _check("characteristic-quartic", _worst(resid / np.maximum(scale, 1e-30)), tol,
+                  f"{n} random wells")
 
 
 def _regime_laws_check(rng, n, tol):
-    worst = 0.0
-    produced = 0
-    while produced < n:
-        pot = _random_well(rng)
-        if pot.q_threshold < 1e-3:
-            continue
-        below = rng.random() < 0.5
-        if below:
-            energy = rng.uniform(1e-3, 0.999) * pot.q_threshold
-        else:
-            energy = pot.q_threshold + rng.uniform(1e-3, 0.999) * (
-                pot.total_threshold - pot.q_threshold)
-        if abs(energy - pot.q_threshold) < 1e-6:
-            continue
-        produced += 1
-        cd = characteristic_data(energy, pot)
-        zw = cd.z * cd.w
-        if below:
-            if cd.nu_plus != cd.nu_minus.conjugate():
-                worst = max(worst, 1.0)
-            worst = max(worst, abs(abs(zw) - 1.0))
-        else:
-            s = math.sqrt(energy ** 2 - pot.q_threshold ** 2)
-            expected = pot.q_threshold ** 2 / (energy + s) ** 2
-            worst = max(worst, abs(zw.imag), abs(zw.real - expected))
-            if not 0.0 < zw.real <= 1.0:
-                worst = max(worst, 1.0)
-    return _check("characteristic-regime-laws", worst, tol,
+    wells, energies, below = [], [], []
+    while len(wells) < n:
+        # an attempt draws the well, a coin and an energy factor, but a well
+        # too weak to have a threshold is dropped after its own three draws;
+        # the block is then undone and redrawn past exactly those draws
+        state = rng.bit_generator.state
+        block = rng.uniform((*_WELL_LOW, 0.0, 1e-3), (*_WELL_HIGH, 1.0, 0.999),
+                            size=(n - len(wells), 5))
+        used = block.size
+        for row, (v1, q_factor, phase, coin, e_factor) in enumerate(block.tolist()):
+            pot = _well(v1, q_factor, phase)
+            if pot.q_threshold < 1e-3:
+                used = 5 * row + 3
+                break
+            if coin < 0.5:
+                energy = e_factor * pot.q_threshold
+            else:
+                energy = pot.q_threshold + e_factor * (pot.total_threshold - pot.q_threshold)
+            if abs(energy - pot.q_threshold) < 1e-6:
+                continue
+            wells.append(pot)
+            energies.append(energy)
+            below.append(coin < 0.5)
+        if used < block.size:
+            rng.bit_generator.state = state
+            rng.random(used)
+    data = list(map(characteristic_data, energies, wells))
+    zw = np.array([cd.z * cd.w for cd in data])
+    split_broken = np.array([cd.nu_plus != cd.nu_minus.conjugate() for cd in data])
+    energy = np.array(energies)
+    qt = np.array([pot.q_threshold for pot in wells])
+    # below the threshold: nu+ = conj(nu-) exactly and |zw| = 1
+    resid_below = np.maximum(np.abs(np.abs(zw) - 1.0), split_broken)
+    # above it: zw = qt^2 / (E + sqrt(E^2 - qt^2))^2, real in (0, 1]
+    with np.errstate(invalid="ignore"):
+        expected = qt ** 2 / (energy + np.sqrt(energy ** 2 - qt ** 2)) ** 2
+    in_range = (0.0 < zw.real) & (zw.real <= 1.0)
+    resid_above = np.maximum(np.maximum(np.abs(zw.imag), np.abs(zw.real - expected)),
+                             ~in_range)
+    resid = np.where(below, resid_below, resid_above)
+    return _check("characteristic-regime-laws", _worst(resid), tol,
                   f"{n} random wells, both bound regimes")
 
 
-def _reality_check(prob, n_samples, tol):
+def _reality_checks(prob, n_samples, tol_imag, tol_zw):
     try:
         report = reality_report(prob, n_samples)
     except EmptyWindowError:
-        return _check("reality-below-threshold", 0.0, tol, "empty window (kappa_q = 0)")
+        empty = "empty window (kappa_q = 0)"
+        yield _check("reality-below-threshold", 0.0, tol_imag, empty)
+        yield _check("unit-modulus-zw", 0.0, tol_zw, empty)
+        return
     detail = (f"{n_samples} samples in (0, {report.window[1]:.6g}); "
               f"max |zw|-1 = {report.max_zw_deviation:.3e}")
-    return _check("reality-below-threshold", report.max_rel_imag, tol, detail)
-
-
-def _zw_modulus_check(prob, n_samples, tol):
-    try:
-        report = reality_report(prob, n_samples)
-    except EmptyWindowError:
-        return _check("unit-modulus-zw", 0.0, tol, "empty window (kappa_q = 0)")
-    return _check("unit-modulus-zw", report.max_zw_deviation, tol,
-                  f"{n_samples} below-threshold samples")
+    yield _check("reality-below-threshold", report.max_rel_imag, tol_imag, detail)
+    yield _check("unit-modulus-zw", report.max_zw_deviation, tol_zw,
+                 f"{n_samples} below-threshold samples")
 
 
 def _rotation_check(rng, n_wells, tol):
-    worst = 0.0
+    diffs = []
     detail = f"{n_wells} random wells"
     for _ in range(n_wells):
         kappa_c = rng.uniform(2.0, 11.0)
@@ -181,12 +204,11 @@ def _rotation_check(rng, n_wells, tol):
         set_a = find_bound_states(prob, pot=pot_a)
         set_b = find_bound_states(prob, pot=pot_b)
         if len(set_a.states) != len(set_b.states):
-            worst = max(worst, float(abs(len(set_a.states) - len(set_b.states))))
+            diffs.append(abs(len(set_a.states) - len(set_b.states)))
             detail = "spectrum size changed under rotation"
             continue
-        for sa, sb in zip(set_a.states, set_b.states):
-            worst = max(worst, abs(sa.x - sb.x))
-    return _check("rotation-invariance", worst, tol, detail)
+        diffs.extend(abs(sa.x - sb.x) for sa, sb in zip(set_a.states, set_b.states))
+    return _check("rotation-invariance", _worst(diffs), tol, detail)
 
 
 def _complex_limit_check(prob, tol):
@@ -196,8 +218,7 @@ def _complex_limit_check(prob, tol):
     if len(full) != len(direct):
         return _check("complex-limit-equivalence", float(abs(len(full) - len(direct))),
                       tol, "root counts differ")
-    worst = max((abs(u - v) for u, v in zip(full, direct)), default=0.0)
-    return _check("complex-limit-equivalence", worst, tol,
+    return _check("complex-limit-equivalence", _worst(np.abs(np.subtract(full, direct))), tol,
                   f"{len(full)} roots at kappa_c = {prob.kappa_c:.6g}")
 
 
@@ -225,8 +246,7 @@ def run_property_checks(prob: QuantizationProblem,
     results.append(_canonicalization_check(rng, eigen_samples, tol(1e-12)))
     results.append(_quartic_check(rng, well_samples, tol(1e-10)))
     results.append(_regime_laws_check(rng, well_samples, tol(1e-12)))
-    results.append(_reality_check(prob, reality_samples, tol(1e-10)))
-    results.append(_zw_modulus_check(prob, reality_samples, tol(1e-12)))
+    results.extend(_reality_checks(prob, reality_samples, tol(1e-10), tol(1e-12)))
     results.append(_rotation_check(rng, rotation_wells, tol(1e-10)))
     results.append(_complex_limit_check(prob, tol(1e-10)))
     return results

@@ -135,6 +135,15 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--kappa-c", "1e80"], ["--kappa-c", "1", "--kappa-q", "1e78"], ["--v1", "1e160"],
+    ])
+    def test_overflowing_depth(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", *argv])
+        assert err.value.code == 2
+        assert "too deep" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_three_spectra_fig1(self, capsys):

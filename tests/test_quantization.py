@@ -40,6 +40,19 @@ class TestQuantizationProblem:
         with pytest.raises(ValueError, match="finite"):
             QuantizationProblem(**kwargs)
 
+    # (kappa_c^4 + kappa_q^4) overflows a float above about 1.16e77
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa_c": 1e80}, {"kappa_c": 1.0, "kappa_q": 1e78},
+        {"kappa_c": 1e77, "kappa_q": 1e77}, {"kappa_c": 1.7e308},
+    ])
+    def test_overflowing_window_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="too deep"):
+            QuantizationProblem(**kwargs)
+
+    def test_kappa_trial_is_x_max(self):
+        for prob in (FIG1, FIG2, QuantizationProblem(1e70, 3.0, 0.5)):
+            assert kappa_trial(prob) == prob.x_max
+
 
 class TestQuantizationFunction:
     def test_complex_limit_closed_form(self):
