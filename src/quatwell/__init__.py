@@ -25,6 +25,7 @@ from .radial import (
     eval_radial,
     eval_region1,
     eval_region2,
+    exterior,
     ode_residual,
     radial_norm,
     solve_coefficients,
@@ -37,10 +38,10 @@ from .quantization import (
     QuantizationPoleError,
     QuantizationProblem,
     RealityReport,
+    ScanGridTooLargeError,
     complex_limit_roots,
     f_quantization,
     find_bound_states,
-    kappa_trial,
     mismatch,
     reality_report,
     trial_complex_states,
@@ -55,13 +56,13 @@ __all__ = [
     "ZERO", "ONE", "I", "J", "K",
     "ImaginaryEigenvalue", "CanonicalForm", "apply_automorphism", "canonicalize",
     "PotentialSpec", "CharacteristicData", "RadialState", "Regime",
-    "classify_regime", "characteristic_exponents", "characteristic_data",
+    "classify_regime", "exterior", "characteristic_exponents", "characteristic_data",
     "symplectic_factors", "eval_region1", "eval_region2", "eval_radial",
     "solve_coefficients", "radial_norm", "ode_residual",
     "DegenerateEnergyError", "UnsupportedRegimeError", "NotARootError",
     "QuantizationProblem", "BoundState", "BoundStateSet", "RealityReport",
     "f_quantization", "mismatch", "find_bound_states", "verify_determinant",
-    "trial_complex_states", "complex_limit_roots", "kappa_trial",
-    "reality_report", "QuantizationPoleError", "EmptyWindowError",
+    "trial_complex_states", "complex_limit_roots",
+    "reality_report", "QuantizationPoleError", "EmptyWindowError", "ScanGridTooLargeError",
     "CheckResult", "run_property_checks",
 ]

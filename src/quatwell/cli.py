@@ -30,10 +30,10 @@ from .quantization import (
     BoundStateSet,
     QuantizationPoleError,
     QuantizationProblem,
+    ScanGridTooLargeError,
     complex_limit_roots,
     f_quantization,
     find_bound_states,
-    kappa_trial,
     mismatch,
     trial_complex_states,
 )
@@ -266,8 +266,8 @@ def _state_doc(index, st) -> dict:
         "continuity_residual": st.continuity_residual,
         "alpha1": [coeffs.alpha1.real, coeffs.alpha1.imag] if coeffs else [0.0, 0.0],
         "gamma1": [coeffs.gamma1.real, coeffs.gamma1.imag] if coeffs else [0.0, 0.0],
-        "beta2": [coeffs.beta2.real, coeffs.beta2.imag] if coeffs else [0.0, 0.0],
-        "delta2": [coeffs.delta2.real, coeffs.delta2.imag] if coeffs else [0.0, 0.0],
+        "beta2_a": [coeffs.beta2_a.real, coeffs.beta2_a.imag] if coeffs else [0.0, 0.0],
+        "delta2_a": [coeffs.delta2_a.real, coeffs.delta2_a.imag] if coeffs else [0.0, 0.0],
         "norm_constant": coeffs.norm_constant if coeffs else 0.0,
         "flags": sorted(st.flags),
     }
@@ -276,7 +276,7 @@ def _state_doc(index, st) -> dict:
 
 _SOLVE_HEADER = ["index", "x", "energy", "regime", "det_residual",
                  "continuity_residual", "alpha1_re", "alpha1_im", "gamma1_re",
-                 "gamma1_im", "beta2_re", "beta2_im", "delta2_re", "delta2_im",
+                 "gamma1_im", "beta2_a_re", "beta2_a_im", "delta2_a_re", "delta2_a_im",
                  "norm_constant", "flags"]
 
 
@@ -285,7 +285,7 @@ def _state_row(index, st) -> list:
     return [doc["index"], doc["x"], doc["energy"], doc["regime"],
             doc["det_residual"], doc["continuity_residual"],
             doc["alpha1"][0], doc["alpha1"][1], doc["gamma1"][0], doc["gamma1"][1],
-            doc["beta2"][0], doc["beta2"][1], doc["delta2"][0], doc["delta2"][1],
+            doc["beta2_a"][0], doc["beta2_a"][1], doc["delta2_a"][0], doc["delta2_a"][1],
             doc["norm_constant"], ";".join(doc["flags"])]
 
 
@@ -339,7 +339,7 @@ def run_compare(cfg: RunConfig):
         "config": _config_doc(cfg),
         "results": levels,
         "diagnostics": {
-            "kappa_trial": kappa_trial(cfg.prob),
+            "kappa_trial": cfg.prob.x_max,
             "count_complex": len(complex_roots),
             "count_quaternionic": len(quat_roots),
             "count_trial": len(trial_roots),
@@ -357,7 +357,7 @@ _CURVE_HEADER = ["x", "tan_clipped", "f_quat", "f_complex", "f_trial",
 
 def run_curves(cfg: RunConfig):
     prob = cfg.prob
-    kt = kappa_trial(prob)
+    kt = prob.x_max
     prob_complex = QuantizationProblem(prob.kappa_c, 0.0, prob.a)
     prob_trial = QuantizationProblem(kt, 0.0, prob.a)
     n = cfg.grid
@@ -437,7 +437,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = resolve_config(args, parser)
-    doc, (header, rows), code = _RUNNERS[cfg.mode](cfg)
+    try:
+        doc, (header, rows), code = _RUNNERS[cfg.mode](cfg)
+    except ScanGridTooLargeError as exc:
+        parser.error(str(exc))
     if cfg.fmt == "json":
         text = _render_json(doc) + "\n"
     else:

@@ -37,11 +37,15 @@ from .radial import (
     PotentialSpec,
     RadialState,
     Regime,
+    exterior,
     solve_coefficients,
 )
 
 _SCAN_EDGE = 1e-6
 _TINY = 1e-300
+# largest scan grid, in points; kappa = 1e4 at the default 4096 points per pi
+# takes about 1.3e7 (1.6e7 with kappa_q = kappa_c)
+MAX_SCAN_POINTS = 2 ** 24
 
 
 class QuantizationPoleError(ArithmeticError):
@@ -50,6 +54,10 @@ class QuantizationPoleError(ArithmeticError):
 
 class EmptyWindowError(ValueError):
     """No below-threshold window exists (kappa_q = 0)."""
+
+
+class ScanGridTooLargeError(ValueError):
+    """The scan grid would exceed MAX_SCAN_POINTS points."""
 
 
 @dataclass(frozen=True)
@@ -114,19 +122,22 @@ class BoundStateSet:
     no_binding: bool = False
 
 
-def kappa_trial(prob: QuantizationProblem) -> float:
-    """Depth of the trial-complex comparison well, (kappa_c^4 + kappa_q^4)^(1/4)."""
-    return prob.x_max
+def _scan_points(x_top: float, scan_points_per_pi: int) -> int:
+    """Size of the scan grid over (0, x_top); checked before anything is allocated."""
+    points = scan_points_per_pi * x_top / math.pi
+    if not points <= MAX_SCAN_POINTS:
+        raise ScanGridTooLargeError(
+            f"scan grid of about {points:.3g} points exceeds the limit of "
+            f"{MAX_SCAN_POINTS}; the well is too deep for this grid")
+    return max(16, math.ceil(points))
 
 
 def _num_den(x, kappa_c: float, kappa_q: float):
     """Numerator/denominator pair; works on scalars and arrays alike."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    s = np.sqrt((x2 * x2 - kappa_q ** 4).astype(complex))
-    nu_m = np.sqrt(kappa_c ** 2 - s)
-    nu_p = np.sqrt(kappa_c ** 2 + s)
-    zw = kappa_q ** 4 / (x2 + s) ** 2
+    q4 = kappa_q ** 4
+    nu_m, nu_p, denom = exterior(x * x, kappa_c ** 2, q4)
+    zw = q4 / denom ** 2
     th = np.tanh(x)
     num = (nu_p - zw * nu_m) * th + (1.0 - zw) * x
     den = nu_m * nu_p * (1.0 - zw) * th + (nu_m - zw * nu_p) * x
@@ -174,11 +185,9 @@ def _det_relative_residual(x: float, prob: QuantizationProblem) -> float:
     residual stays meaningful in the complex limit where zw = 0 and the
     whole condition collapses to one factor.
     """
-    x2 = x * x
-    s = complex(np.sqrt(complex(x2 * x2 - prob.kappa_q ** 4)))
-    nu_m = complex(np.sqrt(prob.kappa_c ** 2 - s))
-    nu_p = complex(np.sqrt(prob.kappa_c ** 2 + s))
-    zw = prob.kappa_q ** 4 / (x2 + s) ** 2
+    q4 = prob.kappa_q ** 4
+    nu_m, nu_p, denom = map(complex, exterior(x * x, prob.kappa_c ** 2, q4))
+    zw = q4 / denom ** 2
     t = math.tan(x)
     th = math.tanh(x)
     left = (nu_m * t + x) * (nu_p * th + x)
@@ -296,8 +305,7 @@ def find_bound_states(prob: QuantizationProblem, *,
     lo, hi = _SCAN_EDGE, prob.x_max - _SCAN_EDGE
     if hi <= lo:
         return BoundStateSet(prob, (), 0.0)
-    n = max(16, math.ceil(scan_points_per_pi * prob.x_max / math.pi))
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, _scan_points(prob.x_max, scan_points_per_pi))
     resolution = float(grid[1] - grid[0])
     kq = prob.kappa_q
     keep = np.abs(grid - kq) >= DEGENERATE_HALF_WIDTH
@@ -362,8 +370,7 @@ def complex_limit_roots(kappa: float, *,
     def h(x):
         return np.sin(x) * np.sqrt(kappa * kappa - np.square(x)) + x * np.cos(x)
 
-    n = max(16, math.ceil(scan_points_per_pi * kappa / math.pi))
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, _scan_points(kappa, scan_points_per_pi))
     brackets, _ = _scan_brackets(grid, h(grid), h, None)
     xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
     return _bisect(h, xl, xr, refine_tol).tolist()
@@ -380,7 +387,7 @@ def trial_complex_states(prob: QuantizationProblem, *,
     complex one of magnitude sqrt(V1^2 + V2^2 + V3^2), i.e. depth
     kappa_t = (kappa_c^4 + kappa_q^4)^(1/4).
     """
-    kt = kappa_trial(prob)
+    kt = prob.x_max
     trial_prob = QuantizationProblem(kt, 0.0, prob.a)
     if kt == 0.0:
         return BoundStateSet(trial_prob, (), 0.0, no_binding=True)
@@ -395,7 +402,7 @@ def trial_complex_states(prob: QuantizationProblem, *,
         states.append(BoundState(x, energy, Regime.MID,
                                  _det_relative_residual(x, trial_prob),
                                  radial.continuity_residual, radial))
-    resolution = kt / max(16, math.ceil(scan_points_per_pi * kt / math.pi))
+    resolution = kt / _scan_points(kt, scan_points_per_pi)
     return BoundStateSet(trial_prob, tuple(states), resolution)
 
 
@@ -425,9 +432,9 @@ def reality_report(prob: QuantizationProblem, n_samples: int) -> RealityReport:
     num, den = _num_den(xs, prob.kappa_c, prob.kappa_q)
     p = num * np.conjugate(den)
     rel_imag = np.abs(p.imag) / (np.abs(p) + 1.0)
-    x2 = xs * xs
-    s = np.sqrt((x2 * x2 - prob.kappa_q ** 4).astype(complex))
-    zw = prob.kappa_q ** 4 / (x2 + s) ** 2
+    q4 = prob.kappa_q ** 4
+    _, _, denom = exterior(xs * xs, prob.kappa_c ** 2, q4)
+    zw = q4 / denom ** 2
     deviation = np.abs(np.abs(zw) - 1.0)
     return RealityReport(float(rel_imag.max()), float(deviation.max()),
                          n_samples, (0.0, float(top)))

@@ -127,14 +127,12 @@ class RadialState:
     epsilon: float
     alpha1: complex
     gamma1: complex
-    beta2: complex
-    delta2: complex
+    beta2_a: complex
+    delta2_a: complex
     chardata: CharacteristicData
     potential: PotentialSpec
     norm_constant: float
     continuity_residual: float
-    beta2_a: complex = 0j
-    delta2_a: complex = 0j
 
 
 def classify_regime(energy: float, pot: PotentialSpec) -> Regime:
@@ -145,19 +143,33 @@ def classify_regime(energy: float, pot: PotentialSpec) -> Regime:
     return Regime.FREE
 
 
-def characteristic_exponents(energy: float, pot: PotentialSpec) -> tuple[complex, complex]:
-    """Exterior decay rates (nu_minus, nu_plus).
+def exterior(e, v1, q2):
+    """Exterior decay rates and coupling denominator; scalars or arrays.
 
-    Below the quaternionic threshold the pair is assembled from the explicit
-    real/imaginary split
+    Returns (nu_minus, nu_plus, e + S) with
 
-        nu_pm = sqrt((M + V1)/2) +- i*sqrt((M - V1)/2),
-        M = sqrt(V1^2 + V2^2 + V3^2 - E^2),
+        S = sqrt(e^2 - q2),   nu_pm = sqrt(v1 +- S),
 
-    (minus sign on nu_minus), so the conjugacy nu_plus = conj(nu_minus)
-    holds exactly.  Elsewhere the
-    principal square roots of V1 -+ S are used.  Energies within 1e-9 of a
-    threshold raise DegenerateEnergyError.
+    every root the principal complex square root, so Re nu_pm >= 0.  Below
+    the threshold (e^2 < q2) S is imaginary, and since the principal root
+    commutes with conjugation nu_plus = conj(nu_minus) holds exactly.  The
+    units are the caller's: (E, V1, V2^2 + V3^2) for an energy, or
+    (x^2, kappa_c^2, kappa_q^4) for the dimensionless x = eps*a, where
+    zw = kappa_q^4/(e + S)^2.
+    """
+    s = np.sqrt(np.asarray(e * e - q2, dtype=complex))
+    return np.sqrt(v1 - s), np.sqrt(v1 + s), e + s
+
+
+def coupling_factors(v2, v3, denom):
+    """Coupling factors (w, z) from e + S of `exterior`; scalars or arrays."""
+    return -1j * (v2 - 1j * v3) / denom, 1j * (v2 + 1j * v3) / denom
+
+
+def characteristic_data(energy: float, pot: PotentialSpec) -> CharacteristicData:
+    """Exterior exponents, coupling factors and regime at one energy.
+
+    Energies within 1e-9 of a threshold raise DegenerateEnergyError.
     """
     if energy <= 0.0:
         raise ValueError("energy must be positive")
@@ -165,42 +177,22 @@ def characteristic_exponents(energy: float, pot: PotentialSpec) -> tuple[complex
         if abs(energy - threshold) < DEGENERATE_HALF_WIDTH:
             raise DegenerateEnergyError(
                 f"energy {energy!r} within {DEGENERATE_HALF_WIDTH} of threshold {threshold!r}")
-    q2 = pot.v2 * pot.v2 + pot.v3 * pot.v3
-    disc = energy * energy - q2
-    if disc < 0.0:
-        m = math.sqrt(pot.v1 * pot.v1 - disc)
-        re = math.sqrt((m + pot.v1) / 2.0)
-        im = math.sqrt(max(m - pot.v1, 0.0) / 2.0)
-        return complex(re, -im), complex(re, im)
-    s = math.sqrt(disc)
-    nu_minus = cmath.sqrt(complex(pot.v1 - s, 0.0))
-    nu_plus = cmath.sqrt(complex(pot.v1 + s, 0.0))
-    # principal root already has Re >= 0; flip defensively if rounding strays
-    if nu_minus.real < 0.0:
-        nu_minus = -nu_minus
-    if nu_plus.real < 0.0:
-        nu_plus = -nu_plus
-    return nu_minus, nu_plus
+    nu_minus, nu_plus, denom = map(
+        complex, exterior(energy, pot.v1, pot.v2 * pot.v2 + pot.v3 * pot.v3))
+    w, z = coupling_factors(pot.v2, pot.v3, denom)
+    return CharacteristicData(nu_minus, nu_plus, w, z, classify_regime(energy, pot))
+
+
+def characteristic_exponents(energy: float, pot: PotentialSpec) -> tuple[complex, complex]:
+    """Exterior decay rates (nu_minus, nu_plus) of characteristic_data."""
+    cd = characteristic_data(energy, pot)
+    return cd.nu_minus, cd.nu_plus
 
 
 def symplectic_factors(energy: float, pot: PotentialSpec) -> tuple[complex, complex]:
-    """Coupling factors (w, z) of the exterior solution; (0, 0) for a complex well."""
-    if energy <= 0.0:
-        raise ValueError("energy must be positive")
-    q2 = pot.v2 * pot.v2 + pot.v3 * pot.v3
-    if q2 == 0.0:
-        return 0j, 0j
-    s = cmath.sqrt(complex(energy * energy - q2, 0.0))
-    denom = energy + s
-    w = -1j * complex(pot.v2, -pot.v3) / denom
-    z = 1j * complex(pot.v2, pot.v3) / denom
-    return w, z
-
-
-def characteristic_data(energy: float, pot: PotentialSpec) -> CharacteristicData:
-    nu_minus, nu_plus = characteristic_exponents(energy, pot)
-    w, z = symplectic_factors(energy, pot)
-    return CharacteristicData(nu_minus, nu_plus, w, z, classify_regime(energy, pot))
+    """Coupling factors (w, z) of characteristic_data; zero for a complex well."""
+    cd = characteristic_data(energy, pot)
+    return cd.w, cd.z
 
 
 def eval_region1(r: float, state: RadialState) -> Quaternion:
@@ -293,11 +285,9 @@ def solve_coefficients(energy: float, pot: PotentialSpec, *,
     d *= scale
     return RadialState(
         energy=energy, epsilon=eps,
-        alpha1=alpha1 * scale, gamma1=gamma1 * scale,
-        beta2=b * cmath.exp(cd.nu_minus * a), delta2=d * cmath.exp(cd.nu_plus * a),
+        alpha1=alpha1 * scale, gamma1=gamma1 * scale, beta2_a=b, delta2_a=d,
         chardata=cd, potential=pot,
-        norm_constant=scale, continuity_residual=continuity,
-        beta2_a=b, delta2_a=d)
+        norm_constant=scale, continuity_residual=continuity)
 
 
 def radial_norm(state: RadialState, grid_step: float | None = None) -> float:

@@ -7,8 +7,9 @@ phase-rotation invariance of the spectrum, and agreement with the complex
 limit -- and reports one pass/fail per property with the measured residual.
 Sampling is seeded, so a given configuration always produces the same
 report.  The sampled checks evaluate all their samples as arrays, through
-the library's own `quaternion.hamilton_product` and
-`spectral.canonical_rotation`, and fold residuals so that a NaN fails.
+the library's own `quaternion.hamilton_product`,
+`spectral.canonical_rotation` and `radial.exterior`, and fold residuals so
+that a NaN fails.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quaternion, spectral
-from .radial import PotentialSpec, characteristic_data
+from . import quaternion, radial, spectral
+from .radial import PotentialSpec
 from .quantization import (
     EmptyWindowError,
     QuantizationProblem,
@@ -98,6 +99,11 @@ def _well(v1, q_factor, phase):
     return PotentialSpec(v1, q * math.cos(phase), q * math.sin(phase))
 
 
+def _columns(energies, wells):
+    """Energies and (V1, V2, V3) of the sampled wells as four arrays."""
+    return (np.array(energies), *np.array([(p.v1, p.v2, p.v3) for p in wells]).T)
+
+
 def _quartic_check(rng, n, tol):
     wells, energies = [], []
     while len(wells) < n:
@@ -113,11 +119,10 @@ def _quartic_check(rng, n, tol):
                 continue
             wells.append(pot)
             energies.append(energy)
-    data = map(characteristic_data, energies, wells)
-    nu = np.array([(cd.nu_minus, cd.nu_plus) for cd in data])
-    v1 = np.array([[pot.v1] for pot in wells])
-    const = np.array([[pot.v1 ** 2 + pot.v2 ** 2 + pot.v3 ** 2 - energy ** 2]
-                      for pot, energy in zip(wells, energies)])
+    energy, v1, v2, v3 = _columns(energies, wells)
+    nu = np.array(radial.exterior(energy, v1, v2 * v2 + v3 * v3)[:2]).T
+    const = (v1 ** 2 + v2 ** 2 + v3 ** 2 - energy ** 2)[:, None]
+    v1 = v1[:, None]
     nu2 = nu * nu
     resid = np.abs(nu2 * nu2 - 2.0 * v1 * nu2 + const)
     scale = np.abs(nu2) ** 2 + 2.0 * v1 * np.abs(nu2) + np.abs(const)
@@ -152,10 +157,11 @@ def _regime_laws_check(rng, n, tol):
         if used < block.size:
             rng.bit_generator.state = state
             rng.random(used)
-    data = list(map(characteristic_data, energies, wells))
-    zw = np.array([cd.z * cd.w for cd in data])
-    split_broken = np.array([cd.nu_plus != cd.nu_minus.conjugate() for cd in data])
-    energy = np.array(energies)
+    energy, v1, v2, v3 = _columns(energies, wells)
+    nu_minus, nu_plus, denom = radial.exterior(energy, v1, v2 * v2 + v3 * v3)
+    w, z = radial.coupling_factors(v2, v3, denom)
+    zw = z * w
+    split_broken = nu_plus != np.conjugate(nu_minus)
     qt = np.array([pot.q_threshold for pot in wells])
     # below the threshold: nu+ = conj(nu-) exactly and |zw| = 1
     resid_below = np.maximum(np.abs(np.abs(zw) - 1.0), split_broken)

@@ -23,7 +23,6 @@ from quatwell.spectral import ImaginaryEigenvalue, canonicalize
 from quatwell.quantization import (
     QuantizationProblem,
     find_bound_states,
-    kappa_trial,
     reality_report,
     trial_complex_states,
     verify_determinant,
@@ -208,14 +207,14 @@ def test_criterion_8_wavefunction_quality():
 
 
 def test_criterion_9_trial_complex_comparison(capsys):
-    kt1 = kappa_trial(FIG1)
-    kt2 = kappa_trial(FIG2)
+    kt1 = FIG1.x_max
+    kt2 = FIG2.x_max
     exact = (kt1 == (KC**4 + (2.5 * math.pi) ** 4) ** 0.25
              and kt2 == (KC**4 + (5 * math.pi) ** 4) ** 0.25)
     worst = 0.0
     counts_ok = True
     for prob in (FIG1, FIG2):
-        oracle = complex_well_roots(kappa_trial(prob))
+        oracle = complex_well_roots(prob.x_max)
         trial = trial_complex_states(prob)
         if len(oracle) != len(trial.states):
             counts_ok = False

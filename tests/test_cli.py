@@ -57,6 +57,23 @@ class TestSolve:
         _, out2 = run_cli(capsys, "solve", "--kappa-c", KC_STR, "--kappa-q", KQ_STR)
         assert out1 == out2
 
+    def test_deep_well_solves(self, capsys):
+        # sqrt(2)*kappa_c > 709.8: the unscaled exterior amplitudes overflowed
+        doc = solve_json(capsys, "--kappa-c", "600")
+        assert doc["diagnostics"]["count"] == 191
+        assert all(st["continuity_residual"] < 1e-8 for st in doc["results"])
+
+    def test_coefficient_columns(self, capsys):
+        doc = solve_json(capsys, "--kappa-c", KC_STR, "--kappa-q", KQ_STR)
+        code, out = run_cli(capsys, "solve", "--kappa-c", KC_STR, "--kappa-q",
+                            KQ_STR, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row, state in zip(rows, doc["results"]):
+            for name in ("alpha1", "gamma1", "beta2_a", "delta2_a"):
+                assert float(row[f"{name}_re"]) == state[name][0]
+                assert float(row[f"{name}_im"]) == state[name][1]
+        assert not {"beta2", "delta2"} & set(doc["results"][0])
+
     def test_csv_json_value_round_trip(self, capsys):
         doc = solve_json(capsys, "--kappa-c", KC_STR, "--kappa-q", KQ_STR)
         code, out = run_cli(capsys, "solve", "--kappa-c", KC_STR, "--kappa-q",
@@ -143,6 +160,14 @@ class TestUsageErrors:
             main(["solve", *argv])
         assert err.value.code == 2
         assert "too deep" in capsys.readouterr().err
+
+    # the window is finite, but its scan grid (about 1.3e79 points) is not
+    @pytest.mark.parametrize("mode", ["solve", "compare", "verify"])
+    def test_oversized_scan_grid(self, capsys, mode):
+        with pytest.raises(SystemExit) as err:
+            main([mode, "--kappa-c", "1e76"])
+        assert err.value.code == 2
+        assert "scan grid" in capsys.readouterr().err
 
 
 class TestCompare:

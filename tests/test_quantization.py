@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from quatwell.radial import DegenerateEnergyError, Regime
+from quatwell import quantization
 from quatwell.quantization import (
+    MAX_SCAN_POINTS,
     BoundState,
     EmptyWindowError,
     QuantizationPoleError,
     QuantizationProblem,
+    ScanGridTooLargeError,
     _bisect,
     _scan_brackets,
+    _scan_points,
     complex_limit_roots,
     f_quantization,
     find_bound_states,
-    kappa_trial,
     mismatch,
     reality_report,
     trial_complex_states,
@@ -49,9 +52,38 @@ class TestQuantizationProblem:
         with pytest.raises(ValueError, match="too deep"):
             QuantizationProblem(**kwargs)
 
-    def test_kappa_trial_is_x_max(self):
-        for prob in (FIG1, FIG2, QuantizationProblem(1e70, 3.0, 0.5)):
-            assert kappa_trial(prob) == prob.x_max
+
+class TestScanGridLimit:
+    def test_default_grid_admits_kappa_1e4(self):
+        for prob in (QuantizationProblem(1e4), QuantizationProblem(1e4, 1e4)):
+            assert _scan_points(prob.x_max, 4096) <= MAX_SCAN_POINTS
+
+    def test_oversized_grid_raises_before_allocating(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("scan grid allocated")
+
+        monkeypatch.setattr(quantization.np, "linspace", no_grid)
+        deep = QuantizationProblem(1e76)
+        for solve in (find_bound_states, trial_complex_states):
+            with pytest.raises(ScanGridTooLargeError, match="scan grid"):
+                solve(deep)
+        with pytest.raises(ScanGridTooLargeError):
+            complex_limit_roots(1e76)
+        # one point per pi past the limit on a window of width pi
+        with pytest.raises(ScanGridTooLargeError):
+            complex_limit_roots(math.pi, scan_points_per_pi=MAX_SCAN_POINTS + 1)
+        assert issubclass(ScanGridTooLargeError, ValueError)
+
+
+class TestDeepWells:
+    # sqrt(2)*kappa_c > 709.8: the unscaled exterior amplitudes overflowed here
+    @pytest.mark.parametrize("kappa_q, count", [(0.0, 191), (300.0, 194)])
+    def test_kappa_c_600_matches_oracle(self, kappa_q, count):
+        states = find_bound_states(QuantizationProblem(600.0, kappa_q)).states
+        oracle = quaternionic_well_roots(600.0, kappa_q, step=1e-3)
+        assert len(states) == len(oracle) == count
+        assert max(abs(st.x - want) for st, want in zip(states, oracle)) < 1e-10
+        assert all(st.continuity_residual < 1e-8 and not st.flags for st in states)
 
 
 class TestQuantizationFunction:
@@ -322,10 +354,10 @@ class TestVerifyDeterminant:
 
 class TestTrialComplex:
     def test_kappa_trial_exact(self):
-        assert kappa_trial(QuantizationProblem(KC, 0.0)) == KC
+        assert QuantizationProblem(KC, 0.0).x_max == KC
         expected = (KC**4 + KC**4) ** 0.25
-        assert kappa_trial(FIG2) == expected
-        assert kappa_trial(FIG2) == pytest.approx(KC * 2**0.25, rel=1e-15)
+        assert FIG2.x_max == expected
+        assert FIG2.x_max == pytest.approx(KC * 2**0.25, rel=1e-15)
 
     def test_degenerate_comparison(self):
         prob = QuantizationProblem(KC, 0.0)
@@ -337,7 +369,7 @@ class TestTrialComplex:
 
     def test_roots_match_oracle_at_kt(self):
         for prob in (FIG1, FIG2):
-            kt = kappa_trial(prob)
+            kt = prob.x_max
             oracle = complex_well_roots(kt)
             trial = trial_complex_states(prob)
             assert len(trial.states) == len(oracle)

@@ -169,14 +169,11 @@ class TestSymplecticFactors:
 
 def _synthetic_state(pot, energy, alpha1=0j, gamma1=0j, beta2_a=0j, delta2_a=0j):
     cd = characteristic_data(energy, pot)
-    a = pot.a
     return RadialState(
         energy=energy, epsilon=math.sqrt(energy),
-        alpha1=alpha1, gamma1=gamma1,
-        beta2=beta2_a * cmath.exp(cd.nu_minus * a),
-        delta2=delta2_a * cmath.exp(cd.nu_plus * a),
+        alpha1=alpha1, gamma1=gamma1, beta2_a=beta2_a, delta2_a=delta2_a,
         chardata=cd, potential=pot, norm_constant=1.0,
-        continuity_residual=0.0, beta2_a=beta2_a, delta2_a=delta2_a)
+        continuity_residual=0.0)
 
 
 class TestRegionEvaluation:
@@ -239,8 +236,10 @@ class TestRegionEvaluation:
         st = _synthetic_state(pot, 3.0, beta2_a=0.4 - 0.3j, delta2_a=0.1j)
         r = 2.3
         cd = st.chardata
-        c1 = cmath.exp(-cd.nu_minus * r) * st.beta2 + cd.z * cmath.exp(-cd.nu_plus * r) * st.delta2
-        c2 = cd.w * cmath.exp(-cd.nu_minus * r) * st.beta2 + cmath.exp(-cd.nu_plus * r) * st.delta2
+        beta2 = st.beta2_a * cmath.exp(cd.nu_minus * pot.a)
+        delta2 = st.delta2_a * cmath.exp(cd.nu_plus * pot.a)
+        c1 = cmath.exp(-cd.nu_minus * r) * beta2 + cd.z * cmath.exp(-cd.nu_plus * r) * delta2
+        c2 = cd.w * cmath.exp(-cd.nu_minus * r) * beta2 + cmath.exp(-cd.nu_plus * r) * delta2
         val = eval_region2(r, st)
         v1, v2 = symplectic_split(val)
         assert v1 == pytest.approx(c1, rel=1e-12)
@@ -257,7 +256,7 @@ class TestRegionEvaluation:
         pot = PotentialSpec(4.0, 0.3, 0.4)
         cd = characteristic_data(10.0, pot)
         assert cd.regime is Regime.FREE
-        st = RadialState(10.0, math.sqrt(10.0), 0j, 0j, 0j, 0j, cd, pot, 1.0, 0.0, 1.0, 0.0)
+        st = RadialState(10.0, math.sqrt(10.0), 0j, 0j, 0j, 0j, cd, pot, 1.0, 0.0)
         with pytest.raises(UnsupportedRegimeError):
             eval_region2(1.5, st)
 
@@ -268,7 +267,7 @@ class TestSolveCoefficients:
         root = find_bound_states(prob).states[0]
         st = root.radial
         assert st.gamma1 == 0.0
-        assert st.delta2 == 0.0
+        assert st.delta2_a == 0.0
         assert st.continuity_residual < 1e-8
 
     def test_lowest_fig1_root_nullspace(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quatwell import quaternion, spectral, verify
+from quatwell import quaternion, radial, spectral, verify
 from quatwell.quantization import QuantizationProblem
 from quatwell.quaternion import I, J, K, ONE, Quaternion, hamilton_product
 from quatwell.radial import PotentialSpec
@@ -143,17 +143,18 @@ class TestSeededDraws:
     def test_well_checks_draw_like_scalar_loop(self, monkeypatch, check,
                                                scalar_draws, seed, n):
         seen = []
-        real = verify.characteristic_data
+        real = radial.exterior
 
-        def record(energy, pot):
-            seen.append((energy, pot))
-            return real(energy, pot)
+        def record(e, v1, q2):
+            seen.extend(zip(e.tolist(), v1.tolist(), q2.tolist()))
+            return real(e, v1, q2)
 
-        monkeypatch.setattr(verify, "characteristic_data", record)
+        monkeypatch.setattr(radial, "exterior", record)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert check(rng, n, 1e-10).passed
         expected, weak = scalar_draws(ref, n)
-        assert seen == expected
+        assert seen == [(energy, pot.v1, pot.v2 * pot.v2 + pot.v3 * pot.v3)
+                        for energy, pot in expected]
         assert rng.bit_generator.state == ref.bit_generator.state
         if seed == 33:
             assert weak == 1
@@ -181,7 +182,7 @@ class TestSeededDraws:
                         / max(1.0, form.energy), abs(form.u.norm() - 1.0))
         quartic = 0.0
         for energy, pot in _scalar_quartic_draws(rng, n)[0]:
-            cd = verify.characteristic_data(energy, pot)
+            cd = radial.characteristic_data(energy, pot)
             const = pot.v1 ** 2 + pot.v2 ** 2 + pot.v3 ** 2 - energy ** 2
             for nu in (cd.nu_minus, cd.nu_plus):
                 nu2 = nu * nu
@@ -189,7 +190,7 @@ class TestSeededDraws:
                 quartic = max(quartic, abs(nu2 * nu2 - 2.0 * pot.v1 * nu2 + const) / scale)
         regime = 0.0
         for energy, pot in _scalar_regime_draws(rng, n)[0]:
-            cd = verify.characteristic_data(energy, pot)
+            cd = radial.characteristic_data(energy, pot)
             zw = cd.z * cd.w
             if energy < pot.q_threshold:
                 assert cd.nu_plus == cd.nu_minus.conjugate()
@@ -254,24 +255,38 @@ class TestFailureDetection:
         check = _run()["eigenvalue-canonicalization"]
         assert math.isnan(check.measured) and not check.passed
 
+    # the regime check's w is -i*(V2 - i*V3)/(e + S), so a NaN in the
+    # kernel's third output reaches it
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("check, field", [
         (verify._quartic_check, "nu_minus"),
         (verify._regime_laws_check, "w"),
     ])
     def test_nan_characteristic_data_fails(self, monkeypatch, check, field):
-        calls = []
-        real = verify.characteristic_data
+        real = radial.exterior
 
-        def nan_once(energy, pot):
-            calls.append(None)
-            cd = real(energy, pot)
-            if len(calls) == 5:
-                return dataclasses.replace(cd, **{field: complex(math.nan, 0.0)})
-            return cd
+        def nan_at_sample_5(e, v1, q2):
+            out = list(real(e, v1, q2))
+            column = out[{"nu_minus": 0, "w": 2}[field]]
+            column[4] = complex(math.nan, 0.0)
+            return tuple(out)
 
-        monkeypatch.setattr(verify, "characteristic_data", nan_once)
+        monkeypatch.setattr(radial, "exterior", nan_at_sample_5)
         result = check(np.random.default_rng(1), 50, 1e-10)
         assert math.isnan(result.measured) and not result.passed
+
+    def test_broken_conjugate_split_fails_regime_laws(self, monkeypatch):
+        real = radial.exterior
+
+        def one_ulp_off(e, v1, q2):
+            nu_minus, nu_plus, denom = real(e, v1, q2)
+            return nu_minus, nu_plus * (1.0 + 2.0 ** -52), denom
+
+        monkeypatch.setattr(radial, "exterior", one_ulp_off)
+        checks = _run()
+        assert checks["characteristic-quartic"].passed
+        assert not checks["characteristic-regime-laws"].passed
+        assert checks["characteristic-regime-laws"].measured == 1.0
 
     def test_nan_root_fails_rotation_and_complex_limit(self, monkeypatch):
         calls = []
