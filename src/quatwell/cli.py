@@ -41,7 +41,7 @@ from .verify import run_property_checks
 
 TAN_CLIP = 1e3
 
-_DEFAULT_SCAN = 4096      # scan points per pi (solve/compare/verify)
+_DEFAULT_SCAN = 256       # scan points per pi (solve/compare/verify)
 _DEFAULT_CURVE_GRID = 2000
 _DEFAULT_REFINE = 1e-12
 _DEFAULT_VALIDATE = 1e-8

@@ -11,16 +11,24 @@ the matching determinant vanishes exactly when
 where nu_pm = sqrt(kappa_c^2 +- sqrt(x^4 - kappa_q^4)) and
 zw = kappa_q^4 / (x^2 + sqrt(x^4 - kappa_q^4))^2.  Num*conj(Den) is real in
 both bound regimes (exactly so below the quaternionic threshold, where
-nu_plus = conj(nu_minus) and |zw| = 1), so f is a real function and the
-pole-free mismatch
+nu_plus = conj(nu_minus) and |zw| = 1), so f is a real function.
 
-    G(x) = sin(x)*|Den|^2 + x*cos(x)*Re(Num*conj(Den))
+Roots are found from Delta = sin(x)*Den + x*cos(x)*Num, which is cos(x)
+times the matching determinant.  Above kappa_q every term of Delta is real;
+below it Num and Den are imaginary along the half phase sqrt(zw), so the
+real determinant
 
-vanishes exactly at the quantization roots.  G also vanishes at zeros of
-Den (the poles of f) and at the threshold point x = kappa_q where Num and
-Den pinch to zero together; candidates are therefore validated against the
-determinant condition and the continuity of the matched solution before
-they are reported.  Bound states live in 0 < x < (kappa_c^4 + kappa_q^4)^(1/4).
+    R(x) = Delta                            (x > kappa_q)
+    R(x) = Re(-i*conj(sqrt(zw))*Delta)      (x < kappa_q),
+    sqrt(zw) = kappa_q^2/(x^2 + sqrt(x^4 - kappa_q^4)),
+
+changes sign at the quantization roots and nowhere else.  It has no poles
+and, unlike a mismatch carrying a factor Den, no sign change at the poles
+of f.  R also vanishes at the threshold point x = kappa_q, where Num and
+Den pinch to zero together, so the scan excludes a narrow band there and
+every candidate is still validated against the determinant condition and
+the continuity of the matched solution before it is reported.  Bound
+states live in 0 < x < (kappa_c^4 + kappa_q^4)^(1/4).
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from .radial import (
 
 _SCAN_EDGE = 1e-6
 _TINY = 1e-300
-# largest scan grid, in points; kappa = 1e4 at the default 4096 points per pi
-# takes about 1.3e7 (1.6e7 with kappa_q = kappa_c)
+# largest scan grid, in points; kappa = 1e4 at the default 256 points per pi
+# takes about 8.1e5 (9.7e5 with kappa_q = kappa_c)
 MAX_SCAN_POINTS = 2 ** 24
 
 
@@ -132,15 +140,22 @@ def _scan_points(x_top: float, scan_points_per_pi: int) -> int:
     return max(16, math.ceil(points))
 
 
-def _num_den(x, kappa_c: float, kappa_q: float):
-    """Numerator/denominator pair; works on scalars and arrays alike."""
+def _matching_terms(x, kappa_c: float, kappa_q: float):
+    """Num, Den and the coupling denominator e + S; scalars or arrays."""
     x = np.asarray(x, dtype=float)
     q4 = kappa_q ** 4
     nu_m, nu_p, denom = exterior(x * x, kappa_c ** 2, q4)
     zw = q4 / denom ** 2
+    one_zw = 1.0 - zw
     th = np.tanh(x)
-    num = (nu_p - zw * nu_m) * th + (1.0 - zw) * x
-    den = nu_m * nu_p * (1.0 - zw) * th + (nu_m - zw * nu_p) * x
+    num = (nu_p - zw * nu_m) * th + one_zw * x
+    den = nu_m * nu_p * one_zw * th + (nu_m - zw * nu_p) * x
+    return num, den, denom
+
+
+def _num_den(x, kappa_c: float, kappa_q: float):
+    """Numerator/denominator pair; works on scalars and arrays alike."""
+    num, den, _ = _matching_terms(x, kappa_c, kappa_q)
     return num, den
 
 
@@ -170,11 +185,23 @@ def f_quantization(x: float, prob: QuantizationProblem) -> float:
 
 
 def mismatch(x, prob: QuantizationProblem):
-    """Pole-free root function G(x); scalar in, float out; array in, array out."""
-    num, den = _num_den(x, prob.kappa_c, prob.kappa_q)
-    p = num * np.conjugate(den)
-    g = np.sin(x) * np.abs(den) ** 2 + x * np.cos(x) * p.real
-    return float(g) if np.isscalar(x) or np.ndim(x) == 0 else g
+    """Real determinant R(x); scalar in, float out; array in, array out.
+
+    Delta = sin(x)*Den + x*cos(x)*Num is cos(x) times the matching
+    determinant.  Above kappa_q it is real and R = Delta.  Below kappa_q,
+    sqrt(zw) = kappa_q^2/(e + S) has modulus one and Delta is imaginary
+    along its half phase, so R = Re(-i*conj(sqrt(zw))*Delta), formed as
+    Im((e + S)*Delta)/kappa_q^2.  R changes sign at the roots and nowhere
+    else: it has no poles and no sign change at the zeros of Den.
+    """
+    num, den, denom = _matching_terms(x, prob.kappa_c, prob.kappa_q)
+    delta = np.sin(x) * den + x * np.cos(x) * num
+    kq = prob.kappa_q
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float((denom * delta).imag / kq ** 2 if x < kq else delta.real)
+    if kq == 0.0:
+        return delta.real
+    return np.where(x < kq, (denom * delta).imag / kq ** 2, delta.real)
 
 
 def _det_relative_residual(x: float, prob: QuantizationProblem) -> float:
@@ -279,19 +306,20 @@ def _scan_brackets(grid, values, fun, kappa_q: float | None):
 
 def find_bound_states(prob: QuantizationProblem, *,
                       pot: PotentialSpec | None = None,
-                      scan_points_per_pi: int = 4096,
+                      scan_points_per_pi: int = 256,
                       refine_tol: float = 1e-12,
                       validate_tol: float = 1e-8,
                       norm_step: float | None = None) -> BoundStateSet:
     """All bound states of the well, scanned, refined and validated.
 
-    The mismatch G is sampled on a uniform grid over the bound window, sign
-    changes are refined by bisection to refine_tol, and every candidate must
-    pass two independent checks at validate_tol: the determinant residual of
-    the matching condition and the continuity residual of the reconstructed
-    solution.  Zeros of Den masquerading as G roots fail both and are
-    dropped.  An explicit potential may be supplied to validate against a
-    particular (V2, V3) phase; it must match the problem's depths.
+    The real determinant R of `mismatch` is sampled on a uniform grid over
+    the bound window, its sign changes are refined by bisection to
+    refine_tol, and every candidate must pass two independent checks at
+    validate_tol: the determinant residual of the matching condition and
+    the continuity residual of the reconstructed solution.  R changes sign
+    only at roots, so a rejected candidate is a numerical failure, not a
+    routine event.  An explicit potential may be supplied to validate
+    against a particular (V2, V3) phase; it must match the problem's depths.
     """
     if prob.kappa_c == 0.0:
         return BoundStateSet(prob, (), 0.0, no_binding=True)
@@ -312,15 +340,15 @@ def find_bound_states(prob: QuantizationProblem, *,
     grid = grid[keep]
     values = mismatch(grid, prob)
 
-    def g(t):
+    def real_det(t):
         return mismatch(t, prob)
 
     band_center = kq if lo < kq < hi else None
-    brackets, flagged = _scan_brackets(grid, values, g, band_center)
+    brackets, flagged = _scan_brackets(grid, values, real_det, band_center)
     xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
 
     roots: list[float] = []
-    for root in _bisect(g, xl, xr, refine_tol).tolist():
+    for root in _bisect(real_det, xl, xr, refine_tol).tolist():
         if roots and abs(root - roots[-1]) <= refine_tol:
             continue
         roots.append(root)
@@ -354,7 +382,7 @@ def find_bound_states(prob: QuantizationProblem, *,
 
 
 def complex_limit_roots(kappa: float, *,
-                        scan_points_per_pi: int = 4096,
+                        scan_points_per_pi: int = 256,
                         refine_tol: float = 1e-12) -> list[float]:
     """Roots of the complex-well condition tan(x) = -x/sqrt(kappa^2 - x^2).
 
@@ -377,7 +405,7 @@ def complex_limit_roots(kappa: float, *,
 
 
 def trial_complex_states(prob: QuantizationProblem, *,
-                         scan_points_per_pi: int = 4096,
+                         scan_points_per_pi: int = 256,
                          refine_tol: float = 1e-12,
                          validate_tol: float = 1e-8,
                          norm_step: float | None = None) -> BoundStateSet:
