@@ -40,11 +40,13 @@ from .quantization import (
     RealityReport,
     ScanGridTooLargeError,
     complex_limit_roots,
+    expected_count,
     f_quantization,
     find_bound_states,
     mismatch,
     reality_report,
     trial_complex_states,
+    validated_states,
     verify_determinant,
 )
 from .verify import CheckResult, run_property_checks
@@ -62,7 +64,7 @@ __all__ = [
     "DegenerateEnergyError", "UnsupportedRegimeError", "NotARootError",
     "QuantizationProblem", "BoundState", "BoundStateSet", "RealityReport",
     "f_quantization", "mismatch", "find_bound_states", "verify_determinant",
-    "trial_complex_states", "complex_limit_roots",
+    "trial_complex_states", "complex_limit_roots", "expected_count", "validated_states",
     "reality_report", "QuantizationPoleError", "EmptyWindowError", "ScanGridTooLargeError",
     "CheckResult", "run_property_checks",
 ]

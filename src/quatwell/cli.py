@@ -41,7 +41,6 @@ from .verify import run_property_checks
 
 TAN_CLIP = 1e3
 
-_DEFAULT_SCAN = 256       # scan points per pi (solve/compare/verify)
 _DEFAULT_CURVE_GRID = 2000
 _DEFAULT_REFINE = 1e-12
 _DEFAULT_VALIDATE = 1e-8
@@ -56,7 +55,7 @@ class RunConfig:
     mode: str
     prob: QuantizationProblem
     pot: PotentialSpec
-    grid: int
+    grid: int | None
     refine_tol: float
     validate_tol: float
     validate_tol_explicit: bool
@@ -136,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--v3", type=float, default=None, help="quaternionic component V3")
         sp.add_argument("--a", type=float, default=None, help="well radius (default 1)")
         sp.add_argument("--grid", type=int, default=None,
-                        help="scan points per pi (solve/compare/verify) or curve samples")
+                        help="curve samples (curves only; solve, compare and verify "
+                             "accept it for compatibility and ignore it)")
         sp.add_argument("--refine-tol", type=float, default=None,
                         help="bisection refinement tolerance (default 1e-12)")
         sp.add_argument("--validate-tol", type=float, default=None,
@@ -216,10 +216,10 @@ def resolve_config(args, parser) -> RunConfig:
         parser.error(str(exc))
 
     grid = pick("grid", int)
-    if grid is None:
-        grid = _DEFAULT_CURVE_GRID if args.mode == "curves" else _DEFAULT_SCAN
-    if grid < 2:
+    if grid is not None and grid < 2:
         parser.error("--grid must be at least 2")
+    # outside curves --grid is accepted for compatibility only: the pi-lattice needs none
+    grid = (grid or _DEFAULT_CURVE_GRID) if args.mode == "curves" else None
     refine_tol = pick("refine_tol", float)
     validate_tol = pick("validate_tol", float)
     validate_explicit = validate_tol is not None
@@ -291,8 +291,7 @@ def _state_row(index, st) -> list:
 
 def _solve_set(cfg: RunConfig) -> BoundStateSet:
     return find_bound_states(
-        cfg.prob, pot=cfg.pot, scan_points_per_pi=cfg.grid,
-        refine_tol=cfg.refine_tol, validate_tol=cfg.validate_tol)
+        cfg.prob, pot=cfg.pot, refine_tol=cfg.refine_tol, validate_tol=cfg.validate_tol)
 
 
 def run_solve(cfg: RunConfig):
@@ -303,7 +302,7 @@ def run_solve(cfg: RunConfig):
         "results": [_state_doc(i, st) for i, st in enumerate(states, 1)],
         "diagnostics": {
             "x_max": cfg.prob.x_max,
-            "scan_resolution": result.scan_resolution,
+            "expected_count": result.expected_count,
             "count": len(states),
             "no_bound_states": not states,
             "no_binding": result.no_binding,
@@ -314,12 +313,10 @@ def run_solve(cfg: RunConfig):
 
 
 def run_compare(cfg: RunConfig):
-    complex_roots = complex_limit_roots(
-        cfg.prob.kappa_c, scan_points_per_pi=cfg.grid, refine_tol=cfg.refine_tol)
+    complex_roots = complex_limit_roots(cfg.prob.kappa_c, refine_tol=cfg.refine_tol)
     quat = _solve_set(cfg)
     trial = trial_complex_states(
-        cfg.prob, scan_points_per_pi=cfg.grid,
-        refine_tol=cfg.refine_tol, validate_tol=cfg.validate_tol)
+        cfg.prob, refine_tol=cfg.refine_tol, validate_tol=cfg.validate_tol)
     quat_roots = [st.x for st in quat.states]
     trial_roots = [st.x for st in trial.states]
     a = cfg.prob.a

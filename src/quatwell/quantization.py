@@ -24,11 +24,30 @@ real determinant
 
 changes sign at the quantization roots and nowhere else.  It has no poles
 and, unlike a mismatch carrying a factor Den, no sign change at the poles
-of f.  R also vanishes at the threshold point x = kappa_q, where Num and
-Den pinch to zero together, so the scan excludes a narrow band there and
-every candidate is still validated against the determinant condition and
-the continuity of the matched solution before it is reported.  Bound
-states live in 0 < x < (kappa_c^4 + kappa_q^4)^(1/4).
+of f.  Bound states live in 0 < x < x_max = (kappa_c^4 + kappa_q^4)^(1/4).
+
+The same rotation makes Num and Den real, N' and D', so that
+
+    R(x) = sin(x)*D' + x*cos(x)*N' = rho*sin(x + theta),
+    theta = atan2(x*N', D').
+
+N' >= 0 on the whole window, so 0 <= theta < pi, and phi = x + theta never
+decreases (dphi/dx >= 1).  R vanishes where phi crosses a multiple of pi,
+once per crossing, so the k-th state is the only zero of R in
+((k-1)*pi, k*pi], and the window holds K = floor(phi(x_max)/pi) states.
+In the complex limit N' = nu_plus*tanh(x) + x > 0 and D' = nu_minus*N', so
+theta = arctan(x/nu_minus) lies in [0, pi/2): the classical one root per pi.
+The general bound on theta is measured, not proved: tests/test_pi_lattice.py
+checks N' >= 0 and the monotone phi on dense grids over a wide range of wells.
+
+Roots are therefore isolated on the pi-lattice 1e-6, pi, 2*pi, ..., x_max
+without any scan grid: each cell with a sign change of R holds exactly one
+root, which is bisected.  At the threshold point x = kappa_q, Num and Den
+pinch to zero together and R touches zero without changing sign; a lattice
+point inside the band |x - kappa_q| < 1e-9 moves to its lower edge, the
+cell that straddles the band is split at it, and every candidate is still
+validated against the determinant condition and the continuity of the
+matched solution before it is reported.
 """
 
 from __future__ import annotations
@@ -51,9 +70,8 @@ from .radial import (
 
 _SCAN_EDGE = 1e-6
 _TINY = 1e-300
-# largest scan grid, in points; kappa = 1e4 at the default 256 points per pi
-# takes about 8.1e5 (9.7e5 with kappa_q = kappa_c)
-MAX_SCAN_POINTS = 2 ** 24
+# most pi-lattice points, about x_max/pi; admits x_max up to 2.06e5
+MAX_SCAN_POINTS = 2 ** 16
 
 
 class QuantizationPoleError(ArithmeticError):
@@ -65,7 +83,7 @@ class EmptyWindowError(ValueError):
 
 
 class ScanGridTooLargeError(ValueError):
-    """The scan grid would exceed MAX_SCAN_POINTS points."""
+    """The pi-lattice would exceed MAX_SCAN_POINTS points."""
 
 
 @dataclass(frozen=True)
@@ -126,18 +144,31 @@ class BoundStateSet:
 
     problem: QuantizationProblem
     states: tuple[BoundState, ...]
-    scan_resolution: float
     no_binding: bool = False
 
+    @property
+    def expected_count(self) -> int:
+        """Closed-form state count K of the well (see `expected_count`)."""
+        prob = self.problem
+        return 0 if self.no_binding else expected_count(prob.kappa_c, prob.kappa_q)
 
-def _scan_points(x_top: float, scan_points_per_pi: int) -> int:
-    """Size of the scan grid over (0, x_top); checked before anything is allocated."""
-    points = scan_points_per_pi * x_top / math.pi
-    if not points <= MAX_SCAN_POINTS:
+
+def _pi_lattice(x_top: float, kappa_q: float = 0.0):
+    """Scan points 1e-6, pi, 2*pi, ..., x_top: one root per cell at most.
+
+    A point inside the threshold band of kappa_q moves to the band's lower
+    edge instead of being dropped, which would merge two cells.  The size
+    is checked before anything is allocated.
+    """
+    cells = x_top / math.pi
+    if not cells <= MAX_SCAN_POINTS - 1:   # NaN and inf fail here too
         raise ScanGridTooLargeError(
-            f"scan grid of about {points:.3g} points exceeds the limit of "
-            f"{MAX_SCAN_POINTS}; the well is too deep for this grid")
-    return max(16, math.ceil(points))
+            f"scan grid of {cells + 1:.3g} pi-lattice points exceeds the limit of "
+            f"{MAX_SCAN_POINTS}; the well is too deep")
+    inner = np.arange(1, math.ceil(cells)) * math.pi
+    grid = np.concatenate(([_SCAN_EDGE], inner[inner < x_top], [x_top]))
+    grid[np.abs(grid - kappa_q) < DEGENERATE_HALF_WIDTH] = kappa_q - DEGENERATE_HALF_WIDTH
+    return grid
 
 
 def _matching_terms(x, kappa_c: float, kappa_q: float):
@@ -197,11 +228,40 @@ def mismatch(x, prob: QuantizationProblem):
     num, den, denom = _matching_terms(x, prob.kappa_c, prob.kappa_q)
     delta = np.sin(x) * den + x * np.cos(x) * num
     kq = prob.kappa_q
+    # below kappa_q, the turn of `_turned_terms` over kappa_q^2, in one multiply
     if np.isscalar(x) or np.ndim(x) == 0:
         return float((denom * delta).imag / kq ** 2 if x < kq else delta.real)
     if kq == 0.0:
         return delta.real
     return np.where(x < kq, (denom * delta).imag / kq ** 2, delta.real)
+
+
+def _turned_terms(x, kappa_c, kappa_q):
+    """Num and Den turned real: N' and D', times kappa_q^2 below kappa_q.
+
+    Below kappa_q the turn is -i*conj(sqrt(zw)) = -i*(e + S)/kappa_q^2, since
+    sqrt(zw) has modulus one; above it Num and Den are already real.  The
+    positive factor kappa_q^2 is kept: it changes no sign and no theta.
+    """
+    num, den, denom = _matching_terms(x, kappa_c, kappa_q)
+    turn = np.where(x < kappa_q, -1j * denom, 1.0)
+    return (turn * num).real, (turn * den).real
+
+
+def expected_count(kappa_c, kappa_q=0.0):
+    """Number K = floor((x + theta)/pi) of states at x = x_max; scalars or arrays.
+
+    theta = atan2(x*N', D') with N' and D' from `_turned_terms`.  Num and Den
+    pinch to zero at kappa_q, so an x_max inside the threshold band is
+    taken at the band's lower edge, where theta already has its limit.
+    """
+    kappa_q = np.asarray(kappa_q, dtype=float)
+    x = (np.asarray(kappa_c, dtype=float) ** 4 + kappa_q ** 4) ** 0.25
+    x = np.where(x - kappa_q < DEGENERATE_HALF_WIDTH, kappa_q - DEGENERATE_HALF_WIDTH, x)
+    n_turned, d_turned = _turned_terms(x, kappa_c, kappa_q)
+    phi = x + np.arctan2(x * n_turned, d_turned)
+    count = np.maximum(np.floor(phi / math.pi), 0.0).astype(int)
+    return count if count.ndim else int(count)
 
 
 def _det_relative_residual(x: float, prob: QuantizationProblem) -> float:
@@ -304,56 +364,19 @@ def _scan_brackets(grid, values, fun, kappa_q: float | None):
     return brackets, flagged
 
 
-def find_bound_states(prob: QuantizationProblem, *,
-                      pot: PotentialSpec | None = None,
-                      scan_points_per_pi: int = 256,
-                      refine_tol: float = 1e-12,
-                      validate_tol: float = 1e-8,
-                      norm_step: float | None = None) -> BoundStateSet:
-    """All bound states of the well, scanned, refined and validated.
+def validated_states(roots, prob: QuantizationProblem, *,
+                     pot: PotentialSpec | None = None,
+                     validate_tol: float = 1e-8,
+                     norm_step: float | None = None) -> list[BoundState]:
+    """The states at the roots that pass both checks at validate_tol.
 
-    The real determinant R of `mismatch` is sampled on a uniform grid over
-    the bound window, its sign changes are refined by bisection to
-    refine_tol, and every candidate must pass two independent checks at
-    validate_tol: the determinant residual of the matching condition and
-    the continuity residual of the reconstructed solution.  R changes sign
-    only at roots, so a rejected candidate is a numerical failure, not a
-    routine event.  An explicit potential may be supplied to validate
-    against a particular (V2, V3) phase; it must match the problem's depths.
+    A root must have a determinant residual and, once matched, a continuity
+    residual below validate_tol; a root the matching refuses (too close to
+    the threshold or to x_max, or not a root of the 2x2 system) is dropped.
     """
-    if prob.kappa_c == 0.0:
-        return BoundStateSet(prob, (), 0.0, no_binding=True)
     if pot is None:
         pot = prob.to_potential()
-    elif (abs(pot.kappa_c - prob.kappa_c) > 1e-9 * max(1.0, prob.kappa_c)
-          or abs(pot.kappa_q - prob.kappa_q) > 1e-9 * max(1.0, prob.kappa_q)
-          or pot.a != prob.a):
-        raise ValueError("potential does not match the problem's dimensionless depths")
-
-    lo, hi = _SCAN_EDGE, prob.x_max - _SCAN_EDGE
-    if hi <= lo:
-        return BoundStateSet(prob, (), 0.0)
-    grid = np.linspace(lo, hi, _scan_points(prob.x_max, scan_points_per_pi))
-    resolution = float(grid[1] - grid[0])
-    kq = prob.kappa_q
-    keep = np.abs(grid - kq) >= DEGENERATE_HALF_WIDTH
-    grid = grid[keep]
-    values = mismatch(grid, prob)
-
-    def real_det(t):
-        return mismatch(t, prob)
-
-    band_center = kq if lo < kq < hi else None
-    brackets, flagged = _scan_brackets(grid, values, real_det, band_center)
-    xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
-
-    roots: list[float] = []
-    for root in _bisect(real_det, xl, xr, refine_tol).tolist():
-        if roots and abs(root - roots[-1]) <= refine_tol:
-            continue
-        roots.append(root)
-
-    states: list[BoundState] = []
+    states = []
     for x in roots:
         det_res = _det_relative_residual(x, prob)
         if not det_res < validate_tol:
@@ -366,9 +389,52 @@ def find_bound_states(prob: QuantizationProblem, *,
             continue
         if not radial.continuity_residual < validate_tol:
             continue
-        regime = Regime.BELOW_Q if x < kq else Regime.MID
+        regime = Regime.BELOW_Q if x < prob.kappa_q else Regime.MID
         states.append(BoundState(x, energy, regime, det_res,
                                  radial.continuity_residual, radial))
+    return states
+
+
+def find_bound_states(prob: QuantizationProblem, *,
+                      pot: PotentialSpec | None = None,
+                      refine_tol: float = 1e-12,
+                      validate_tol: float = 1e-8,
+                      norm_step: float | None = None) -> BoundStateSet:
+    """All bound states of the well, isolated, refined and validated.
+
+    The real determinant R of `mismatch` is sampled on the pi-lattice of the
+    bound window, each cell's sign change is refined by bisection to
+    refine_tol, and every candidate must pass two independent checks at
+    validate_tol: the determinant residual of the matching condition and
+    the continuity residual of the reconstructed solution.  R changes sign
+    only at roots, so a rejected candidate is a numerical failure, not a
+    routine event.  An explicit potential may be supplied to validate
+    against a particular (V2, V3) phase; it must match the problem's depths.
+    """
+    if prob.kappa_c == 0.0:
+        return BoundStateSet(prob, (), no_binding=True)
+    if pot is None:
+        pot = prob.to_potential()
+    elif (abs(pot.kappa_c - prob.kappa_c) > 1e-9 * max(1.0, prob.kappa_c)
+          or abs(pot.kappa_q - prob.kappa_q) > 1e-9 * max(1.0, prob.kappa_q)
+          or pot.a != prob.a):
+        raise ValueError("potential does not match the problem's dimensionless depths")
+
+    kq = prob.kappa_q
+    if prob.x_max <= _SCAN_EDGE:
+        return BoundStateSet(prob, ())
+    grid = _pi_lattice(prob.x_max, kq)
+    values = mismatch(grid, prob)
+
+    def real_det(t):
+        return mismatch(t, prob)
+
+    band_center = kq if grid[0] < kq < grid[-1] else None
+    brackets, flagged = _scan_brackets(grid, values, real_det, band_center)
+    xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
+
+    states = validated_states(_bisect(real_det, xl, xr, refine_tol).tolist(), prob,
+                              pot=pot, validate_tol=validate_tol, norm_step=norm_step)
     for x in flagged:
         # the root position is pinned only to the excluded band; residuals
         # at the band edge are diagnostics, not validation
@@ -378,34 +444,30 @@ def find_bound_states(prob: QuantizationProblem, *,
             _det_relative_residual(edge, prob), 0.0,
             None, frozenset({"near-degenerate"})))
     states.sort(key=lambda st: st.energy)
-    return BoundStateSet(prob, tuple(states), resolution)
+    return BoundStateSet(prob, tuple(states))
 
 
 def complex_limit_roots(kappa: float, *,
-                        scan_points_per_pi: int = 256,
                         refine_tol: float = 1e-12) -> list[float]:
     """Roots of the complex-well condition tan(x) = -x/sqrt(kappa^2 - x^2).
 
     Solved through the pole-free form sin(x)*sqrt(kappa^2 - x^2) + x*cos(x),
-    which has no spurious zeros on (0, kappa).
+    which has no spurious zeros on (0, kappa] and one zero in each cell of
+    the pi-lattice that changes sign.
     """
-    if kappa <= 0.0:
-        return []
-    lo, hi = _SCAN_EDGE, kappa - _SCAN_EDGE
-    if hi <= lo:
+    if kappa <= _SCAN_EDGE:
         return []
 
     def h(x):
         return np.sin(x) * np.sqrt(kappa * kappa - np.square(x)) + x * np.cos(x)
 
-    grid = np.linspace(lo, hi, _scan_points(kappa, scan_points_per_pi))
+    grid = _pi_lattice(kappa)
     brackets, _ = _scan_brackets(grid, h(grid), h, None)
     xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
     return _bisect(h, xl, xr, refine_tol).tolist()
 
 
 def trial_complex_states(prob: QuantizationProblem, *,
-                         scan_points_per_pi: int = 256,
                          refine_tol: float = 1e-12,
                          validate_tol: float = 1e-8,
                          norm_step: float | None = None) -> BoundStateSet:
@@ -413,25 +475,16 @@ def trial_complex_states(prob: QuantizationProblem, *,
 
     The comparison well replaces the quaternionic potential by a purely
     complex one of magnitude sqrt(V1^2 + V2^2 + V3^2), i.e. depth
-    kappa_t = (kappa_c^4 + kappa_q^4)^(1/4).
+    kappa_t = (kappa_c^4 + kappa_q^4)^(1/4).  The roots of the tan form are
+    validated as in `find_bound_states`, so both report the same states.
     """
     kt = prob.x_max
     trial_prob = QuantizationProblem(kt, 0.0, prob.a)
     if kt == 0.0:
-        return BoundStateSet(trial_prob, (), 0.0, no_binding=True)
-    roots = complex_limit_roots(kt, scan_points_per_pi=scan_points_per_pi,
-                                refine_tol=refine_tol)
-    trial_pot = trial_prob.to_potential()
-    states = []
-    for x in roots:
-        energy = (x / prob.a) ** 2
-        radial = solve_coefficients(energy, trial_pot, det_tol=validate_tol,
-                                    norm_step=norm_step)
-        states.append(BoundState(x, energy, Regime.MID,
-                                 _det_relative_residual(x, trial_prob),
-                                 radial.continuity_residual, radial))
-    resolution = kt / _scan_points(kt, scan_points_per_pi)
-    return BoundStateSet(trial_prob, tuple(states), resolution)
+        return BoundStateSet(trial_prob, (), no_binding=True)
+    states = validated_states(complex_limit_roots(kt, refine_tol=refine_tol), trial_prob,
+                              validate_tol=validate_tol, norm_step=norm_step)
+    return BoundStateSet(trial_prob, tuple(states))
 
 
 @dataclass(frozen=True)

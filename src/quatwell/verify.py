@@ -3,8 +3,11 @@
 Re-measures the structural identities the solver relies on -- quaternion
 algebra laws, eigenvalue canonicalization, the characteristic quartic, the
 reality of the quantization function below the quaternionic threshold,
-phase-rotation invariance of the spectrum, and agreement with the complex
-limit -- and reports one pass/fail per property with the measured residual.
+phase-rotation invariance of the spectrum, agreement with the complex
+limit and its classical state count, and the paper's claim that a pure
+quaternionic potential removes no bound state, checked on the closed-form
+counts K alone -- and reports one pass/fail per property with the measured
+residual.
 Sampling is seeded, so a given configuration always produces the same
 report.  The sampled checks evaluate all their samples as arrays, through
 the library's own `quaternion.hamilton_product`,
@@ -25,11 +28,14 @@ from .quantization import (
     EmptyWindowError,
     QuantizationProblem,
     complex_limit_roots,
+    expected_count,
     find_bound_states,
     reality_report,
+    validated_states,
 )
 
 _SEED = 20050214
+_KEPT_WELLS = 2000
 
 
 @dataclass(frozen=True)
@@ -221,11 +227,31 @@ def _complex_limit_check(prob, tol):
     limit_prob = QuantizationProblem(prob.kappa_c, 0.0, prob.a)
     full = [st.x for st in find_bound_states(limit_prob).states]
     direct = complex_limit_roots(prob.kappa_c)
-    if len(full) != len(direct):
+    # both sides isolate roots on the same pi-lattice, so the tan form is
+    # also held to the classical count #{n >= 1 : (n - 1/2)*pi < kappa_c}
+    classical = math.ceil(prob.kappa_c / math.pi + 0.5) - 1
+    if len(direct) != classical:
+        return _check("complex-limit-equivalence", float(abs(len(direct) - classical)),
+                      tol, f"tan form has {len(direct)} roots, classical {classical}")
+    # the solver may drop top roots, just below kappa_c, that fail its
+    # validation, and no others
+    dropped = direct[len(full):]
+    if len(full) > len(direct) or validated_states(dropped, limit_prob):
         return _check("complex-limit-equivalence", float(abs(len(full) - len(direct))),
                       tol, "root counts differ")
-    return _check("complex-limit-equivalence", _worst(np.abs(np.subtract(full, direct))), tol,
-                  f"{len(full)} roots at kappa_c = {prob.kappa_c:.6g}")
+    return _check("complex-limit-equivalence",
+                  _worst(np.abs(np.subtract(full, direct[:len(full)]))), tol,
+                  f"{len(full)} of {classical} classical roots validated "
+                  f"at kappa_c = {prob.kappa_c:.6g}")
+
+
+def _kept_states_check(rng, n, tol):
+    """K(kappa_c, kappa_q) >= K(kappa_c, 0) on random wells, counts only."""
+    kappa_c = np.exp(rng.uniform(math.log(0.3), math.log(300.0), n))
+    kappa_q = kappa_c * np.exp(rng.uniform(math.log(1e-3), math.log(10.0), n))
+    lost = np.count_nonzero(expected_count(kappa_c, kappa_q) < expected_count(kappa_c))
+    return _check("quaternionic-keeps-bound-states", lost, tol,
+                  f"{n} random wells with K(kappa_c, kappa_q) >= K(kappa_c, 0)")
 
 
 def run_property_checks(prob: QuantizationProblem,
@@ -255,4 +281,6 @@ def run_property_checks(prob: QuantizationProblem,
     results.extend(_reality_checks(prob, reality_samples, tol(1e-10), tol(1e-12)))
     results.append(_rotation_check(rng, rotation_wells, tol(1e-10)))
     results.append(_complex_limit_check(prob, tol(1e-10)))
+    # drawn after every other check, so that none of their samples moves
+    results.append(_kept_states_check(rng, _KEPT_WELLS, tol(1.0)))
     return results

@@ -52,6 +52,25 @@ class TestSolve:
         for sk, sv in zip(doc_k["results"], doc_v["results"]):
             assert abs(sk["x"] - sv["x"]) < 1e-10
 
+    def test_expected_count_in_diagnostics(self, capsys):
+        doc = solve_json(capsys, "--kappa-c", KC_STR, "--kappa-q", KQ_STR)
+        diag = doc["diagnostics"]
+        assert diag["expected_count"] == diag["count"] == 5
+        assert "scan_resolution" not in diag
+        # the weakly bound state that validation rejects: K = 1, none found
+        weak = solve_json(capsys, "--kappa-c", repr(1.5707963267948966 + 1e-3))
+        assert (weak["diagnostics"]["expected_count"], weak["diagnostics"]["count"]) == (1, 0)
+
+    def test_grid_is_read_only_by_curves(self, capsys):
+        well = ("--kappa-c", KC_STR, "--kappa-q", KQ_STR)
+        for mode in ("solve", "compare"):
+            _, plain = run_cli(capsys, mode, *well)
+            _, gridded = run_cli(capsys, mode, "--grid", "64", *well)
+            plain, gridded = json.loads(plain), json.loads(gridded)
+            assert plain["config"]["grid"] is gridded["config"]["grid"] is None
+            assert plain["results"] == gridded["results"]
+            assert plain["diagnostics"] == gridded["diagnostics"]
+
     def test_deterministic_output(self, capsys):
         _, out1 = run_cli(capsys, "solve", "--kappa-c", KC_STR, "--kappa-q", KQ_STR)
         _, out2 = run_cli(capsys, "solve", "--kappa-c", KC_STR, "--kappa-q", KQ_STR)
@@ -171,6 +190,16 @@ class TestUsageErrors:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("delta", [1e-5, 1e-3])
+    def test_weakly_bound_complex_well(self, capsys, delta):
+        # the tan form brackets a state just below kappa_t that validation
+        # rejects (1e-5: too close to kappa_t to be matched at all); the
+        # trial spectrum drops it as the quaternionic solver does
+        code, out = run_cli(capsys, "compare", "--kappa-c", repr(1.5707963267948966 + delta))
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert (diag["count_complex"], diag["count_quaternionic"], diag["count_trial"]) == (1, 0, 0)
+
     def test_three_spectra_fig1(self, capsys):
         code, out = run_cli(capsys, "compare", "--kappa-c", KC_STR,
                             "--kappa-q", KQ_STR)

@@ -4,8 +4,7 @@ The solver once scanned G = Re(conj(Den)*Delta), which carries an extra sign
 change at every zero of Den.  When a pole of f and a root shared a scan cell
 the two sign changes cancelled and the root was lost, at the default grid of
 4096 points per pi as well as at coarse grids.  Every well here lost a root
-that way; each is checked against the 50-digit oracle of `mp_oracle`, at the
-grid where the loss was seen and at the default grid.
+that way; each is checked against the 50-digit oracle of `mp_oracle`.
 """
 
 import functools
@@ -42,13 +41,11 @@ WELLS = {
 }
 
 
-@pytest.mark.parametrize("grid", [4096, None], ids=["grid4096", "default"])
-@pytest.mark.parametrize("name", sorted(WELLS))
-def test_no_root_lost(name, grid):
+@pytest.mark.parametrize("name", [pytest.param(name, id=f"{name}-default")
+                                  for name in sorted(WELLS)])
+def test_no_root_lost(name):
     kappa_c, kappa_q, count, top = WELLS[name]
-    prob = QuantizationProblem(kappa_c, kappa_q)
-    kwargs = {} if grid is None else {"scan_points_per_pi": grid}
-    states = find_bound_states(prob, **kwargs).states
+    states = find_bound_states(QuantizationProblem(kappa_c, kappa_q)).states
     assert all(not st.flags for st in states)
     _assert_matches_oracle([st.x for st in states], kappa_c, kappa_q, count)
     assert states[-1].x == pytest.approx(top, abs=1e-5)

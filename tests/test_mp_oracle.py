@@ -1,10 +1,11 @@
-"""The solver's roots at the default grid against the 50-digit oracle."""
+"""The solver's roots against the 50-digit oracle."""
 
 import math
 
 import mpmath
 import pytest
 
+from quatwell import quantization
 from quatwell.quantization import QuantizationProblem, find_bound_states
 
 from . import mp_oracle
@@ -14,11 +15,18 @@ DEPTHS = (1.2, 12.0, 150.0)
 
 SAMPLE = [pytest.param(kc, ratio * kc, id=f"kc{kc:g}-ratio{ratio:g}")
           for kc in DEPTHS for ratio in RATIOS]
-# a state 7.85e-7 below x_max = kappa_c, above the top of the solver's scan
-# at x_max - 1e-6: the solver finds no state
+# a state 5.5e-8 below x_max, which a scan stopping 1e-6 below x_max missed;
+# it validates with det residual 6.9e-10 and continuity 9.4e-9, a thin
+# margin under validate_tol = 1e-8
+SAMPLE.append(pytest.param(0.08040783648979845, 0.6589974379370833, id="near-threshold"))
+# a state 7.85e-7 below x_max = kappa_c: the pi-lattice brackets it, but the
+# root refined to 1e-12 has det residual 1.93e-8 and continuity 3.87e-8,
+# above validate_tol = 1e-8, so validation rejects it
 SAMPLE.append(pytest.param(
     math.pi / 2 + 1e-3, 0.0, id="weak-binding",
-    marks=pytest.mark.xfail(strict=True, reason="the scan stops 1e-6 below x_max")))
+    marks=pytest.mark.xfail(strict=True, reason=(
+        "validation rejects the bracketed root: det residual 1.93e-8 and "
+        "continuity 3.87e-8 against validate_tol 1e-8"))))
 
 
 @pytest.mark.parametrize("kappa_c, kappa_q", SAMPLE)
@@ -35,6 +43,23 @@ def test_weak_binding_state_seen_by_oracle():
     kappa = math.pi / 2 + 1e-3
     (root,) = mp_oracle.roots(kappa, 0.0)
     assert 7.8e-7 < kappa - root < 7.9e-7
+
+
+def test_weak_binding_state_is_bracketed_then_rejected(monkeypatch):
+    kappa = math.pi / 2 + 1e-3
+    seen = []
+    residual = quantization._det_relative_residual
+
+    def record(x, prob):
+        seen.append((x, residual(x, prob)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(quantization, "_det_relative_residual", record)
+    assert find_bound_states(QuantizationProblem(kappa, 0.0)).states == ()
+    ((x, det),) = seen
+    (root,) = mp_oracle.roots(kappa, 0.0)
+    assert abs(x - float(root)) < 1e-10
+    assert 1e-8 < det < 2e-8
 
 
 @pytest.mark.parametrize("kappa_c, kappa_q", [(5 * math.pi, 2.5 * math.pi),

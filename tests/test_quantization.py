@@ -15,8 +15,8 @@ from quatwell.quantization import (
     QuantizationProblem,
     ScanGridTooLargeError,
     _bisect,
+    _pi_lattice,
     _scan_brackets,
-    _scan_points,
     complex_limit_roots,
     f_quantization,
     find_bound_states,
@@ -55,23 +55,28 @@ class TestQuantizationProblem:
 
 class TestScanGridLimit:
     def test_default_grid_admits_kappa_1e4(self):
+        # 2**16 lattice points reach x_max = 65535*pi, within one pi of the
+        # window that 2**24 points at 256 points per pi reached
         for prob in (QuantizationProblem(1e4), QuantizationProblem(1e4, 1e4)):
-            assert _scan_points(prob.x_max, 4096) <= MAX_SCAN_POINTS
+            assert _pi_lattice(prob.x_max).size <= MAX_SCAN_POINTS
+        assert _pi_lattice((MAX_SCAN_POINTS - 1) * math.pi).size == MAX_SCAN_POINTS
 
     def test_oversized_grid_raises_before_allocating(self, monkeypatch):
         def no_grid(*args, **kwargs):
             raise AssertionError("scan grid allocated")
 
-        monkeypatch.setattr(quantization.np, "linspace", no_grid)
+        monkeypatch.setattr(quantization.np, "arange", no_grid)
+        monkeypatch.setattr(quantization, "mismatch", no_grid)
         deep = QuantizationProblem(1e76)
         for solve in (find_bound_states, trial_complex_states):
             with pytest.raises(ScanGridTooLargeError, match="scan grid"):
                 solve(deep)
         with pytest.raises(ScanGridTooLargeError):
             complex_limit_roots(1e76)
-        # one point per pi past the limit on a window of width pi
-        with pytest.raises(ScanGridTooLargeError):
-            complex_limit_roots(math.pi, scan_points_per_pi=MAX_SCAN_POINTS + 1)
+        # one lattice point past the limit, and windows that are no number
+        for kappa in ((MAX_SCAN_POINTS - 0.5) * math.pi, math.inf, math.nan):
+            with pytest.raises(ScanGridTooLargeError):
+                complex_limit_roots(kappa)
         assert issubclass(ScanGridTooLargeError, ValueError)
 
 
@@ -191,14 +196,6 @@ class TestFindBoundStates:
             assert st.det_residual < 1e-8
             assert st.continuity_residual < 1e-8
             assert not st.flags
-
-    def test_scan_resolution_halving(self):
-        for prob in (FIG1, FIG2):
-            base = find_bound_states(prob)
-            fine = find_bound_states(prob, scan_points_per_pi=8192)
-            assert len(base.states) == len(fine.states)
-            for a, b in zip(base.states, fine.states):
-                assert abs(a.x - b.x) < 1e-10
 
     def test_roots_are_python_floats(self):
         for prob in (FIG1, FIG2):

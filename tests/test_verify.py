@@ -311,3 +311,75 @@ class TestFailureDetection:
         assert math.isnan(checks["complex-limit-equivalence"].measured)
         assert not checks["rotation-invariance"].passed
         assert not checks["complex-limit-equivalence"].passed
+
+    def test_shared_lost_root_fails_complex_limit_count(self, monkeypatch):
+        # both sides lose the same top root: they agree with each other, but
+        # not with the classical count
+        real_find = verify.find_bound_states
+        real_limit = verify.complex_limit_roots
+
+        def find_one_short(prob, **kwargs):
+            found = real_find(prob, **kwargs)
+            if prob.kappa_q:
+                return found
+            return dataclasses.replace(found, states=found.states[:-1])
+
+        monkeypatch.setattr(verify, "find_bound_states", find_one_short)
+        monkeypatch.setattr(verify, "complex_limit_roots",
+                            lambda kappa, **kwargs: real_limit(kappa, **kwargs)[:-1])
+        check = _run()["complex-limit-equivalence"]
+        assert not check.passed and check.measured == 1.0
+        assert check.detail == "tan form has 4 roots, classical 5"
+
+    def test_dropped_valid_top_root_fails_complex_limit(self, monkeypatch):
+        # only a top root that fails validation may be missing from the solver
+        real_find = verify.find_bound_states
+
+        def find_top_lost(prob, **kwargs):
+            found = real_find(prob, **kwargs)
+            if prob.kappa_q:
+                return found
+            return dataclasses.replace(found, states=found.states[:-1])
+
+        monkeypatch.setattr(verify, "find_bound_states", find_top_lost)
+        check = _run()["complex-limit-equivalence"]
+        assert not check.passed and check.measured == 1.0
+        assert check.detail == "root counts differ"
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-3])
+    def test_weakly_bound_complex_well_passes(self, delta):
+        # the tan form has the classical root just below kappa_c, the solver
+        # rejects it, and so does validation of the tan-form root
+        prob = QuantizationProblem(0.5 * math.pi + delta, 0.0)
+        checks = {c.name: c for c in verify.run_property_checks(
+            prob, algebra_samples=500, eigen_samples=500, well_samples=300,
+            reality_samples=100, rotation_wells=2)}
+        check = checks["complex-limit-equivalence"]
+        assert check.passed and check.measured == 0.0
+        assert check.detail.startswith("0 of 1 classical roots validated")
+
+
+class TestKeptStates:
+    def test_passes_on_the_solver_counts(self):
+        check = _run()["quaternionic-keeps-bound-states"]
+        assert check.passed and check.measured == 0.0
+        assert check.detail.startswith("2000 random wells")
+
+    def test_count_one_too_low_with_kappa_q_fails(self, monkeypatch):
+        real = verify.expected_count
+
+        def one_low(kappa_c, kappa_q=0.0):
+            return real(kappa_c, kappa_q) - (np.asarray(kappa_q) > 0.0)
+
+        monkeypatch.setattr(verify, "expected_count", one_low)
+        check = _run()["quaternionic-keeps-bound-states"]
+        assert not check.passed and check.measured > 0
+
+    def test_drawn_after_every_other_check(self, monkeypatch):
+        # the other checks see the same samples with or without this one
+        with_count = _run()
+        monkeypatch.setattr(verify, "_kept_states_check",
+                            lambda rng, n, tol: verify._check("stub", 0.0, tol))
+        without = _run()
+        del with_count["quaternionic-keeps-bound-states"], without["stub"]
+        assert with_count == without
