@@ -43,11 +43,11 @@ checks N' >= 0 and the monotone phi on dense grids over a wide range of wells.
 Roots are therefore isolated on the pi-lattice 1e-6, pi, 2*pi, ..., x_max
 without any scan grid: each cell with a sign change of R holds exactly one
 root, which is bisected.  At the threshold point x = kappa_q, Num and Den
-pinch to zero together and R touches zero without changing sign; a lattice
-point inside the band |x - kappa_q| < 1e-9 moves to its lower edge, the
-cell that straddles the band is split at it, and every candidate is still
-validated against the determinant condition and the continuity of the
-matched solution before it is reported.
+pinch to zero together and R touches zero without changing sign; the band
+|x - kappa_q| < 1e-9 is a lattice cell of its own, bounded by its edges, and
+a sign change across it is flagged instead of refined.  Every candidate is
+still validated against the determinant condition and the continuity of
+the matched solution before it is reported.
 """
 
 from __future__ import annotations
@@ -156,9 +156,11 @@ class BoundStateSet:
 def _pi_lattice(x_top: float, kappa_q: float = 0.0):
     """Scan points 1e-6, pi, 2*pi, ..., x_top: one root per cell at most.
 
-    A point inside the threshold band of kappa_q moves to the band's lower
-    edge instead of being dropped, which would merge two cells.  The size
-    is checked before anything is allocated.
+    The threshold band |x - kappa_q| < 1e-9 is a cell of its own: every
+    point inside it, x_top included, is dropped, and the band edges
+    kappa_q -+ 1e-9 that lie inside (1e-6, x_top) are added.  Each part of
+    a split cell lies inside the original cell, so no cell gains a root.
+    The size is checked before anything is allocated.
     """
     cells = x_top / math.pi
     if not cells <= MAX_SCAN_POINTS - 1:   # NaN and inf fail here too
@@ -167,8 +169,9 @@ def _pi_lattice(x_top: float, kappa_q: float = 0.0):
             f"{MAX_SCAN_POINTS}; the well is too deep")
     inner = np.arange(1, math.ceil(cells)) * math.pi
     grid = np.concatenate(([_SCAN_EDGE], inner[inner < x_top], [x_top]))
-    grid[np.abs(grid - kappa_q) < DEGENERATE_HALF_WIDTH] = kappa_q - DEGENERATE_HALF_WIDTH
-    return grid
+    lo, hi = kappa_q - DEGENERATE_HALF_WIDTH, kappa_q + DEGENERATE_HALF_WIDTH
+    edges = [e for e in (lo, hi) if _SCAN_EDGE < e < x_top]
+    return np.sort(np.concatenate((grid[(grid <= lo) | (grid >= hi)], edges)))
 
 
 def _matching_terms(x, kappa_c: float, kappa_q: float):
@@ -233,7 +236,9 @@ def mismatch(x, prob: QuantizationProblem):
         return float((denom * delta).imag / kq ** 2 if x < kq else delta.real)
     if kq == 0.0:
         return delta.real
-    return np.where(x < kq, (denom * delta).imag / kq ** 2, delta.real)
+    # kappa_q^2 underflows to 0 below kappa_q ~ 2e-162: divide by it only below kappa_q
+    below = x < kq
+    return np.where(below, (denom * delta).imag / np.where(below, kq ** 2, 1.0), delta.real)
 
 
 def _turned_terms(x, kappa_c, kappa_q):
@@ -290,78 +295,66 @@ def verify_determinant(state: BoundState, prob: QuantizationProblem) -> float:
 
 
 def _bisect(fun, xl, xr, tol: float):
-    """Bisect every bracket [xl[i], xr[i]] of fun at once, down to width tol.
+    """Bisect every oriented bracket (xl[i], xr[i]) of fun at once, to width tol.
 
-    fun maps an array of points to an array of values, and each halving
-    makes one call for all brackets still open.  Each bracket follows the
-    plain bisection rule: it stops once its width is at most tol, when the
-    midpoint no longer splits it (the double-precision floor), or at a
-    midpoint where fun is exactly zero, which is then its root.  Returns the
-    array of final bracket midpoints; a bracket (x, x) returns x.
+    fun maps an array of points to an array of values; fun <= 0 at xl and
+    fun > 0 at xr, so xl may lie above xr.  Each halving makes one call for
+    all brackets still open, and the midpoint replaces the end whose sign it
+    shares.  Each bracket follows the plain bisection rule: it stops once
+    |xr - xl| is at most tol, when the midpoint no longer splits it (the
+    double-precision floor), or at a midpoint where fun is exactly zero,
+    which is then its root.  Returns the array of final bracket midpoints;
+    a bracket (x, x) returns x.
     """
     xl = np.array(xl, dtype=float)
     xr = np.array(xr, dtype=float)
-    open_ = np.flatnonzero(xr - xl > tol)
-    if not open_.size:
-        return 0.5 * (xl + xr)
-    fl = fun(xl[open_])
+    open_ = np.flatnonzero(np.abs(xr - xl) > tol)
     while open_.size:
-        xm = 0.5 * (xl[open_] + xr[open_])
-        splits = (xm > xl[open_]) & (xm < xr[open_])
-        open_, xm, fl = open_[splits], xm[splits], fl[splits]
+        a, b = xl[open_], xr[open_]
+        xm = 0.5 * (a + b)
+        splits = (xm != a) & (xm != b)
+        open_, xm = open_[splits], xm[splits]
         if not open_.size:
             break
         fm = fun(xm)
-        zero = fm == 0.0
-        # an exact zero closes its bracket onto the midpoint from both sides
-        left = ((fl < 0.0) != (fm < 0.0)) | zero
-        right = ~left | zero
-        xr[open_[left]] = xm[left]
-        xl[open_[right]] = xm[right]
-        fl = np.where(left, fl, fm)
-        still = xr[open_] - xl[open_] > tol
-        open_, fl = open_[still], fl[still]
+        # an exact zero closes its bracket onto the midpoint from both ends;
+        # NaN counts as positive
+        neg, pos = fm <= 0.0, ~(fm < 0.0)
+        xl[open_[neg]] = xm[neg]
+        xr[open_[pos]] = xm[pos]
+        open_ = open_[np.abs(xr[open_] - xl[open_]) > tol]
     return 0.5 * (xl + xr)
 
 
-def _scan_brackets(grid, values, fun, kappa_q: float | None):
-    """Sign-change brackets of a sampled function, split at the threshold band.
+def _scan_brackets(grid, values):
+    """Oriented sign-change brackets (xl, xr) of a function sampled on grid.
 
-    Returns (brackets, flagged) in grid order: (x, x) for a sample that is
-    exactly zero, the cell for every other sign change, plus the threshold
-    position when the sign change hides inside the excluded band
-    |x - kappa_q| < 1e-9 (a root there cannot be refined further).  Only the
-    cell that straddles kappa_q is split at the band, at the cost of two
-    calls of fun.
+    One bracket per cell whose ends differ in sign, in grid order, with
+    values <= 0 at xl, so xl is the right end when the function falls; a
+    sample that is exactly zero gives the bracket (x, x).
     """
     gl, gr = values[:-1], values[1:]
     cells = np.flatnonzero((gl * gr < 0.0) | (gl == 0.0))
     lo = grid[cells]
     hi = np.where(gl[cells] == 0.0, lo, grid[cells + 1])
-    brackets = list(zip(lo.tolist(), hi.tolist()))
-    flagged: list[float] = []
-    if kappa_q is None:
-        return brackets, flagged
-    i = int(np.searchsorted(grid, kappa_q)) - 1   # grid[i] < kappa_q <= grid[i + 1]
-    if not (0 <= i < grid.size - 1 and kappa_q < grid[i + 1]
-            and values[i] * values[i + 1] < 0.0):
-        return brackets, flagged
-    k = int(np.searchsorted(cells, i))             # the bracket of cell i
-    xl, xr = brackets[k]
-    gl, gr = values[i], values[i + 1]
-    edge_l = kappa_q - DEGENERATE_HALF_WIDTH
-    edge_r = kappa_q + DEGENERATE_HALF_WIDTH
-    gel = fun(edge_l) if edge_l > xl else gl
-    ger = fun(edge_r) if edge_r < xr else gr
-    split = []
-    if gl * gel < 0.0:
-        split.append((xl, edge_l))
-    if ger * gr < 0.0:
-        split.append((edge_r, xr))
-    if gel * ger < 0.0:
-        flagged.append(kappa_q)
-    brackets[k:k + 1] = split
-    return brackets, flagged
+    falls = gl[cells] > 0.0
+    return np.where(falls, hi, lo), np.where(falls, lo, hi)
+
+
+def _lattice_roots(fun, x_top: float, tol: float, kappa_q: float = 0.0):
+    """Roots of fun on (1e-6, x_top] from its pi-lattice, and the flagged band.
+
+    fun is evaluated once on `_pi_lattice(x_top, kappa_q)`, each cell with a
+    sign change is bisected to tol, and the threshold band cell is not: a
+    sign change across it is returned as the flagged position kappa_q (a
+    root there cannot be refined further).  Returns (roots, flagged) as
+    lists in ascending order.
+    """
+    grid = _pi_lattice(x_top, kappa_q)
+    xl, xr = _scan_brackets(grid, fun(grid))
+    band = (np.minimum(xl, xr) < kappa_q) & (kappa_q < np.maximum(xl, xr))
+    flagged = [kappa_q] if band.any() else []
+    return _bisect(fun, xl[~band], xr[~band], tol).tolist(), flagged
 
 
 def validated_states(roots, prob: QuantizationProblem, *,
@@ -420,21 +413,12 @@ def find_bound_states(prob: QuantizationProblem, *,
           or pot.a != prob.a):
         raise ValueError("potential does not match the problem's dimensionless depths")
 
-    kq = prob.kappa_q
     if prob.x_max <= _SCAN_EDGE:
         return BoundStateSet(prob, ())
-    grid = _pi_lattice(prob.x_max, kq)
-    values = mismatch(grid, prob)
-
-    def real_det(t):
-        return mismatch(t, prob)
-
-    band_center = kq if grid[0] < kq < grid[-1] else None
-    brackets, flagged = _scan_brackets(grid, values, real_det, band_center)
-    xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
-
-    states = validated_states(_bisect(real_det, xl, xr, refine_tol).tolist(), prob,
-                              pot=pot, validate_tol=validate_tol, norm_step=norm_step)
+    roots, flagged = _lattice_roots(lambda t: mismatch(t, prob), prob.x_max,
+                                    refine_tol, prob.kappa_q)
+    states = validated_states(roots, prob, pot=pot, validate_tol=validate_tol,
+                              norm_step=norm_step)
     for x in flagged:
         # the root position is pinned only to the excluded band; residuals
         # at the band edge are diagnostics, not validation
@@ -461,10 +445,7 @@ def complex_limit_roots(kappa: float, *,
     def h(x):
         return np.sin(x) * np.sqrt(kappa * kappa - np.square(x)) + x * np.cos(x)
 
-    grid = _pi_lattice(kappa)
-    brackets, _ = _scan_brackets(grid, h(grid), h, None)
-    xl, xr = np.array(brackets, dtype=float).reshape(-1, 2).T
-    return _bisect(h, xl, xr, refine_tol).tolist()
+    return _lattice_roots(h, kappa, refine_tol)[0]
 
 
 def trial_complex_states(prob: QuantizationProblem, *,

@@ -100,7 +100,11 @@ class PotentialSpec:
     @classmethod
     def from_kappas(cls, kappa_c: float, kappa_q: float = 0.0, a: float = 1.0) -> "PotentialSpec":
         """Well with the given dimensionless depths; V3 = 0 representative."""
-        return cls(v1=(kappa_c / a) ** 2, v2=(kappa_q / a) ** 2, v3=0.0, a=a)
+        try:
+            v1, v2 = (kappa_c / a) ** 2, (kappa_q / a) ** 2
+        except OverflowError:
+            raise ValueError("well too deep for its radius: (kappa/a)^2 overflows a float") from None
+        return cls(v1=v1, v2=v2, v3=0.0, a=a)
 
 
 @dataclass(frozen=True)

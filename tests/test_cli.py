@@ -173,6 +173,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["--kappa-c", "1e80"], ["--kappa-c", "1", "--kappa-q", "1e78"], ["--v1", "1e160"],
+        # the window is finite, but V1 = (kappa_c/a)^2 is not
+        ["--kappa-c", "3", "--a", "1e-300"],
     ])
     def test_overflowing_depth(self, capsys, argv):
         with pytest.raises(SystemExit) as err:

@@ -18,6 +18,7 @@ math.sinh above x ~ 710.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatwell import quantization
@@ -101,10 +102,10 @@ def _solve_counting_brackets(kappa_c, kappa_q):
     seen = []
     scan_brackets = quantization._scan_brackets
 
-    def spy(grid, values, fun, band):
-        brackets, flagged = scan_brackets(grid, values, fun, band)
-        seen.append(len(brackets))
-        return brackets, flagged
+    def spy(grid, values):
+        xl, xr = scan_brackets(grid, values)
+        seen.append(len(xl))
+        return xl, xr
 
     quantization._scan_brackets = spy
     try:
@@ -123,6 +124,29 @@ def test_sign_changes_are_the_lattice_brackets_and_the_states(well):
     assert not any(st.flags for st in found.states)
     assert _sign_changes(kappa_c, kappa_q) == brackets == len(found.states)
     assert found.expected_count == len(found.states)
+
+
+BAND = quantization.DEGENERATE_HALF_WIDTH
+
+
+@pytest.mark.parametrize("kappa_c, kappa_q", [
+    (7.0, 2 * math.pi), (50 * math.pi, 25 * math.pi),
+    (7.0, 2 * math.pi + 1e-10), (7.0, 2 * math.pi - 1e-10),
+    (0.06, 600.0), _on_pi(5, 10.0),
+    (3.0, 5e-7), (3.0, 1e-6), (3.0, 1e-6 + 5e-10), (3.0, 0.0),
+], ids=["on-2pi", "on-25pi", "above-2pi", "below-2pi", "x_max-in-band", "x_max-on-5pi",
+        "below-edge", "on-edge", "in-edge-band", "complex-limit"])
+def test_threshold_band_is_a_lattice_cell(kappa_c, kappa_q):
+    x_top = QuantizationProblem(kappa_c, kappa_q).x_max
+    grid = quantization._pi_lattice(x_top, kappa_q)
+    lo, hi = kappa_q - BAND, kappa_q + BAND
+    assert not np.any((lo < grid) & (grid < hi))
+    for edge in (lo, hi):
+        if quantization._SCAN_EDGE < edge < x_top:
+            assert edge in grid
+    assert np.all(np.diff(grid) > 0.0)
+    # the points k*pi are rounded to the nearest float
+    assert np.diff(grid).max() <= math.pi + 2 * np.spacing(x_top)
 
 
 def test_expected_count_matches_the_oracle_wells():

@@ -15,6 +15,7 @@ from quatwell.quantization import (
     QuantizationProblem,
     ScanGridTooLargeError,
     _bisect,
+    _lattice_roots,
     _pi_lattice,
     _scan_brackets,
     complex_limit_roots,
@@ -155,6 +156,14 @@ class TestMismatch:
         for x, v in zip(xs, arr):
             assert mismatch(float(x), FIG1) == pytest.approx(float(v), rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_kappa_q_is_the_complex_limit(self):
+        # kappa_q^2 underflows to 0; the below-threshold branch must not divide by it
+        tiny = find_bound_states(QuantizationProblem(5.0, 1e-300))
+        plain = find_bound_states(QuantizationProblem(5.0, 0.0))
+        assert len(tiny.states) == 2
+        assert [st.x for st in tiny.states] == [st.x for st in plain.states]
+
 
 class TestFindBoundStates:
     def test_deep_complex_well(self):
@@ -225,33 +234,41 @@ class TestFindBoundStates:
             assert b.continuity_residual < 1e-8
 
 
+def _pairs(brackets):
+    xl, xr = brackets
+    return list(zip(xl.tolist(), xr.tolist()))
+
+
+def _line(root):
+    return lambda x: np.asarray(x) - root
+
+
 class TestScanBrackets:
     def test_plain_bracket(self):
         grid = np.array([0.0, 1.0, 2.0])
         vals = np.array([-1.0, 1.0, 2.0])
-        brackets, flagged = _scan_brackets(grid, vals, lambda x: x - 0.5, None)
-        assert brackets == [(0.0, 1.0)]
+        assert _pairs(_scan_brackets(grid, vals)) == [(0.0, 1.0)]
+        roots, flagged = _lattice_roots(_line(0.5), 2.0, 1e-12)
+        assert roots == [pytest.approx(0.5, abs=1e-12)]
         assert flagged == []
 
     def test_sign_change_inside_band_flagged(self):
         # the only sign change sits inside the excluded threshold band
         kq = 1.0
-        fun = lambda x: x - kq
-        grid = np.array([0.5, 1.5])
-        vals = np.array([fun(0.5), fun(1.5)])
-        brackets, flagged = _scan_brackets(grid, vals, fun, kq)
-        assert brackets == []
+        roots, flagged = _lattice_roots(_line(kq), 1.5, 1e-12, kq)
+        assert roots == []
         assert flagged == [kq]
 
     def test_root_next_to_band_isolated(self):
         # a genuine root just outside the band is still bracketed
         kq = 1.0
         root = 1.2
-        fun = lambda x: x - root
-        grid = np.array([0.5, 1.5])
-        vals = np.array([fun(0.5), fun(1.5)])
-        brackets, flagged = _scan_brackets(grid, vals, fun, kq)
+        fun = _line(root)
+        grid = _pi_lattice(1.5, kq)
+        brackets = _pairs(_scan_brackets(grid, fun(grid)))
+        roots, flagged = _lattice_roots(fun, 1.5, 1e-12, kq)
         assert flagged == []
+        assert roots == [pytest.approx(root, abs=1e-12)]
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo == pytest.approx(kq + 1e-9)
@@ -259,17 +276,20 @@ class TestScanBrackets:
 
     def test_many_brackets_in_grid_order(self):
         # roots at 0.7, 2.04 and 3.2, an exact zero sample at 1.5, and the
-        # cell [2.0, 2.1] straddling the threshold band at kq = 2.05
+        # threshold band at kq = 2.05 as a cell of its own inside [2.0, 2.1]
         kq = 2.05
 
         def fun(x):
             return (x - 0.7) * (x - 1.5) * (x - 2.04) * (x - 3.2)
-        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.1, 2.5, 3.0, 3.5])
-        vals = np.array([fun(x) for x in grid])
+        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, kq - 1e-9, kq + 1e-9, 2.1, 2.5, 3.0, 3.5])
+        vals = fun(grid)
         assert vals[3] == 0.0
-        brackets, flagged = _scan_brackets(grid, vals, fun, kq)
-        assert brackets == [(0.5, 1.0), (1.5, 1.5), (2.0, kq - 1e-9), (3.0, 3.5)]
-        assert flagged == []
+        xl, xr = _scan_brackets(grid, vals)
+        # oriented: fun <= 0 at xl, so a falling sign change runs right to left
+        assert _pairs((xl, xr)) == [(1.0, 0.5), (1.5, 1.5), (kq - 1e-9, 2.0), (3.0, 3.5)]
+        assert np.all(fun(xl) <= 0.0) and np.all(fun(xr) >= 0.0)
+        # no bracket spans the band, so nothing is flagged
+        assert not np.any((np.minimum(xl, xr) < kq) & (kq < np.maximum(xl, xr)))
 
 
 def _scalar_bisect(fun, xl, xr, tol):
@@ -300,12 +320,13 @@ class TestBatchedBisect:
 
         def g(t):
             return mismatch(t, prob)
-        brackets, _ = _scan_brackets(grid, g(grid), g, prob.kappa_q)
-        brackets.append((brackets[2][0], brackets[2][0]))   # an exact-zero bracket
-        xl, xr = np.array(brackets).T
+        xl, xr = _scan_brackets(grid, g(grid))
+        xl, xr = np.append(xl, xl[2]), np.append(xr, xl[2])   # an exact-zero bracket
         batched = _bisect(g, xl, xr, tol).tolist()
-        assert batched == [_scalar_bisect(g, lo, hi, tol) for lo, hi in brackets]
-        assert batched[-1] == brackets[2][0]
+        # the reference bisects the ordered bracket
+        assert batched == [_scalar_bisect(g, min(lo, hi), max(lo, hi), tol)
+                           for lo, hi in zip(xl.tolist(), xr.tolist())]
+        assert batched[-1] == xl[2]
 
     def test_exact_zero_midpoint_is_the_root(self):
         def fun(x):
@@ -320,13 +341,34 @@ class TestBatchedBisect:
         got = _bisect(counted, xl, xr, 1e-12).tolist()
         assert got == [_scalar_bisect(fun, lo, hi, 1e-12) for lo, hi in brackets]
         assert got[0] == 0.5 and got[2] == 0.3
-        # one array call for the left ends, then one per halving
+        # one array call per halving, none for the bracket ends
         assert calls[0] == 2 and max(calls) == 2 and len(calls) < 45
 
     def test_no_brackets(self):
         def fun(x):
             raise AssertionError("nothing to evaluate")
         assert _bisect(fun, [], [], 1e-12).tolist() == []
+
+    def test_one_lattice_call_then_one_per_halving(self, monkeypatch):
+        prob = QuantizationProblem(7.0, 3.0)
+        sizes = []
+
+        def spy(x, p):
+            sizes.append(np.ndim(x) and np.size(x))
+            return mismatch(x, p)
+        monkeypatch.setattr(quantization, "mismatch", spy)
+        find_bound_states(prob)
+        grid = _pi_lattice(prob.x_max, prob.kappa_q)
+        xl, xr = _scan_brackets(grid, mismatch(grid, prob))
+        halvings = []
+        for lo, hi in zip(xl.tolist(), xr.tolist()):
+            evals = []
+            _scalar_bisect(lambda t: evals.append(t) or mismatch(t, prob),
+                           min(lo, hi), max(lo, hi), 1e-12)
+            halvings.append(len(evals) - 1)   # less its call at the left end
+        # no scalar call: the band edges are lattice points
+        assert sizes[0] == grid.size and 0 not in sizes
+        assert len(sizes) == 1 + max(halvings) == 43
 
 
 class TestVerifyDeterminant:

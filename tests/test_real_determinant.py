@@ -157,12 +157,12 @@ def test_sign_changes_are_the_validated_states(monkeypatch):
     seen = {}
     scan_brackets = quantization._scan_brackets
 
-    def spy(grid, values, fun, kappa_q):
-        brackets, flagged = scan_brackets(grid, values, fun, kappa_q)
+    def spy(grid, values):
+        xl, xr = scan_brackets(grid, values)
         seen["changes"] = int(np.count_nonzero(
             (values[:-1] * values[1:] < 0.0) | (values[:-1] == 0.0)))
-        seen["brackets"] = len(brackets)
-        return brackets, flagged
+        seen["brackets"] = len(xl)
+        return xl, xr
 
     monkeypatch.setattr(quantization, "_scan_brackets", spy)
     wrong = []
