@@ -20,7 +20,6 @@ from .radial import (
     Regime,
     UnsupportedRegimeError,
     characteristic_data,
-    characteristic_exponents,
     classify_regime,
     eval_radial,
     eval_region1,
@@ -29,7 +28,6 @@ from .radial import (
     ode_residual,
     radial_norm,
     solve_coefficients,
-    symplectic_factors,
 )
 from .quantization import (
     BoundState,
@@ -58,8 +56,8 @@ __all__ = [
     "ZERO", "ONE", "I", "J", "K",
     "ImaginaryEigenvalue", "CanonicalForm", "apply_automorphism", "canonicalize",
     "PotentialSpec", "CharacteristicData", "RadialState", "Regime",
-    "classify_regime", "exterior", "characteristic_exponents", "characteristic_data",
-    "symplectic_factors", "eval_region1", "eval_region2", "eval_radial",
+    "classify_regime", "exterior", "characteristic_data",
+    "eval_region1", "eval_region2", "eval_radial",
     "solve_coefficients", "radial_norm", "ode_residual",
     "DegenerateEnergyError", "UnsupportedRegimeError", "NotARootError",
     "QuantizationProblem", "BoundState", "BoundStateSet", "RealityReport",

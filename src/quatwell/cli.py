@@ -25,16 +25,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .radial import DegenerateEnergyError, PotentialSpec
+import numpy as np
+
+from .radial import PotentialSpec
 from .quantization import (
     BoundStateSet,
-    QuantizationPoleError,
     QuantizationProblem,
     ScanGridTooLargeError,
     complex_limit_roots,
-    f_quantization,
     find_bound_states,
     mismatch,
+    quantization_function,
     trial_complex_states,
 )
 from .verify import run_property_checks
@@ -354,48 +355,30 @@ _CURVE_HEADER = ["x", "tan_clipped", "f_quat", "f_complex", "f_trial",
 
 def run_curves(cfg: RunConfig):
     prob = cfg.prob
-    kt = prob.x_max
-    prob_complex = QuantizationProblem(prob.kappa_c, 0.0, prob.a)
-    prob_trial = QuantizationProblem(kt, 0.0, prob.a)
-    n = cfg.grid
     x_max = prob.x_max
-    rows = []
-    for i in range(n):
-        x = x_max * (i + 1) / (n + 1)
-        marks = []
-        tan_val = math.tan(x)
-        if abs(tan_val) > TAN_CLIP:
-            tan_val = math.copysign(TAN_CLIP, tan_val)
-            marks.append("tan_pole")
-
-        def f_column(p, label):
-            try:
-                value = f_quantization(x, p)
-            except DegenerateEnergyError:
-                marks.append(f"{label}_degenerate")
-                return 0.0
-            except QuantizationPoleError:
-                marks.append(f"{label}_pole")
-                return 0.0
-            except ValueError:
-                marks.append(f"{label}_domain")
-                return 0.0
-            if abs(value) > TAN_CLIP:
-                marks.append(f"{label}_clip")
-                return math.copysign(TAN_CLIP, value)
-            return value
-
-        f_quat = f_column(prob, "f_quat")
-        f_complex = f_column(prob_complex, "f_complex")
-        f_trial = f_column(prob_trial, "f_trial")
-        rows.append([x, tan_val, f_quat, f_complex, f_trial,
-                     mismatch(x, prob), ";".join(marks)])
+    n = cfg.grid
+    x = x_max * np.arange(1, n + 1) / (n + 1)
+    tan = np.tan(x)
+    tan_pole = np.abs(tan) > TAN_CLIP
+    columns = [x, np.where(tan_pole, np.copysign(TAN_CLIP, tan), tan)]
+    tags = [np.where(tan_pole, "tan_pole", "")]
+    for label, p in (("f_quat", prob),
+                     ("f_complex", QuantizationProblem(prob.kappa_c, 0.0, prob.a)),
+                     ("f_trial", QuantizationProblem(x_max, 0.0, prob.a))):
+        f, fault = quantization_function(x, p)
+        clip = (fault == "") & (np.abs(f) > TAN_CLIP)
+        columns.append(np.where(clip, np.copysign(TAN_CLIP, f), f))
+        fault = np.where(clip, "clip", fault)
+        tags.append(np.where(fault == "", "", np.char.add(label + "_", fault)))
+    columns.append(mismatch(x, prob))
+    markers = [";".join(filter(None, row)) for row in zip(*(t.tolist() for t in tags))]
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns), markers)]
     doc = {
         "config": _config_doc(cfg),
         "results": {"columns": _CURVE_HEADER,
-                    "rows": [list(row) for row in rows]},
+                    "rows": rows},
         "diagnostics": {"x_max": x_max, "samples": n,
-                        "kappa_trial": kt, "clip": TAN_CLIP},
+                        "kappa_trial": x_max, "clip": TAN_CLIP},
     }
     return doc, (_CURVE_HEADER, rows), 0
 

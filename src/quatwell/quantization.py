@@ -1,35 +1,37 @@
 """Quantization condition of the quaternionic well and its root set.
 
 With x = eps*a, kappa_c = a*sqrt(V1) and kappa_q = a*(V2^2 + V3^2)^(1/4),
-the matching determinant vanishes exactly when
-
-    tan(x) = f(x) = -x * Num * conj(Den) / |Den|^2,
+the matching determinant is built from
 
     Num = (nu_plus - zw*nu_minus)*tanh(x) + (1 - zw)*x,
     Den = nu_minus*nu_plus*(1 - zw)*tanh(x) + (nu_minus - zw*nu_plus)*x,
 
 where nu_pm = sqrt(kappa_c^2 +- sqrt(x^4 - kappa_q^4)) and
-zw = kappa_q^4 / (x^2 + sqrt(x^4 - kappa_q^4))^2.  Num*conj(Den) is real in
-both bound regimes (exactly so below the quaternionic threshold, where
-nu_plus = conj(nu_minus) and |zw| = 1), so f is a real function.
+zw = kappa_q^4 / (x^2 + sqrt(x^4 - kappa_q^4))^2.  Above kappa_q every term
+is real.  Below it nu_plus = conj(nu_minus) and |zw| = 1, and Num and Den
+are both imaginary along the half phase
+sqrt(zw) = kappa_q^2/(x^2 + sqrt(x^4 - kappa_q^4)), so the turn
+-i*conj(sqrt(zw)) makes both real.  This is why the condition stays real
+below the quaternionic threshold.  `_turned_terms` is the one place that
+forms the real pair
 
-Roots are found from Delta = sin(x)*Den + x*cos(x)*Num, which is cos(x)
-times the matching determinant.  Above kappa_q every term of Delta is real;
-below it Num and Den are imaginary along the half phase sqrt(zw), so the
-real determinant
+    N' = Num,  D' = Den                        (x > kappa_q)
+    N' = Re(-i*(e + S)*Num),  D' = Re(-i*(e + S)*Den)    (x < kappa_q),
 
-    R(x) = Delta                            (x > kappa_q)
-    R(x) = Re(-i*conj(sqrt(zw))*Delta)      (x < kappa_q),
-    sqrt(zw) = kappa_q^2/(x^2 + sqrt(x^4 - kappa_q^4)),
+with e + S = x^2 + sqrt(x^4 - kappa_q^4), so that below kappa_q the pair
+carries the positive factor kappa_q^2 = |e + S|.  Every real quantity of
+this module is read from it:
 
-changes sign at the quantization roots and nowhere else.  It has no poles
-and, unlike a mismatch carrying a factor Den, no sign change at the poles
-of f.  Bound states live in 0 < x < x_max = (kappa_c^4 + kappa_q^4)^(1/4).
+    f(x) = -x*N'/D'                        (`quantization_function`)
+    R(x) = sin(x)*D' + x*cos(x)*N'         (`mismatch`, over kappa_q^2 below kappa_q)
+         = rho*sin(x + theta),  theta = atan2(x*N', D'),
+    K    = floor(phi(x_max)/pi),  phi = x + theta    (`expected_count`).
 
-The same rotation makes Num and Den real, N' and D', so that
-
-    R(x) = sin(x)*D' + x*cos(x)*N' = rho*sin(x + theta),
-    theta = atan2(x*N', D').
+The matching determinant vanishes exactly when tan(x) = f(x), that is
+where R = cos(x)*D'*(tan(x) - f(x)) vanishes: R is cos(x) times the
+matching determinant, turned real below kappa_q.  R changes sign at the quantization roots and nowhere else: it has no poles
+and, unlike a mismatch carrying a factor D', no sign change at the poles of
+f.  Bound states live in 0 < x < x_max = (kappa_c^4 + kappa_q^4)^(1/4).
 
 N' >= 0 on the whole window, so 0 <= theta < pi, and phi = x + theta never
 decreases (dphi/dx >= 1).  R vanishes where phi crosses a multiple of pi,
@@ -53,6 +55,7 @@ the matched solution before it is reported.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,70 +190,77 @@ def _matching_terms(x, kappa_c: float, kappa_q: float):
     return num, den, denom
 
 
-def _num_den(x, kappa_c: float, kappa_q: float):
-    """Numerator/denominator pair; works on scalars and arrays alike."""
-    num, den, _ = _matching_terms(x, kappa_c, kappa_q)
-    return num, den
-
-
-def f_quantization(x: float, prob: QuantizationProblem) -> float:
-    """Right-hand side f(x) of the quantization condition tan(x) = f(x).
-
-    Evaluated through Num*conj(Den)/|Den|^2 in complex arithmetic; the
-    imaginary part must come out at rounding level (it vanishes identically
-    in both bound regimes) and is discarded after that check.
-    """
-    if not 0.0 < x < prob.x_max:
-        raise ValueError(f"x = {x!r} outside the bound window (0, {prob.x_max!r})")
-    if abs(x - prob.kappa_q) < DEGENERATE_HALF_WIDTH:
-        raise DegenerateEnergyError(f"x = {x!r} inside the threshold band at {prob.kappa_q!r}")
-    num, den = _num_den(x, prob.kappa_c, prob.kappa_q)
-    num, den = complex(num), complex(den)
-    if abs(den) < _TINY:
-        raise QuantizationPoleError(f"denominator vanishes at x = {x!r}")
-    p = num * den.conjugate()
-    d2 = abs(den) ** 2
-    f_re = -x * p.real / d2
-    f_im = -x * p.imag / d2
-    if not abs(f_im) < 1e-10 * (abs(f_re) + 1.0):
-        raise ArithmeticError(
-            f"quantization function has non-real value {f_re!r} + {f_im!r}i at x = {x!r}")
-    return f_re
-
-
-def mismatch(x, prob: QuantizationProblem):
-    """Real determinant R(x); scalar in, float out; array in, array out.
-
-    Delta = sin(x)*Den + x*cos(x)*Num is cos(x) times the matching
-    determinant.  Above kappa_q it is real and R = Delta.  Below kappa_q,
-    sqrt(zw) = kappa_q^2/(e + S) has modulus one and Delta is imaginary
-    along its half phase, so R = Re(-i*conj(sqrt(zw))*Delta), formed as
-    Im((e + S)*Delta)/kappa_q^2.  R changes sign at the roots and nowhere
-    else: it has no poles and no sign change at the zeros of Den.
-    """
-    num, den, denom = _matching_terms(x, prob.kappa_c, prob.kappa_q)
-    delta = np.sin(x) * den + x * np.cos(x) * num
-    kq = prob.kappa_q
-    # below kappa_q, the turn of `_turned_terms` over kappa_q^2, in one multiply
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float((denom * delta).imag / kq ** 2 if x < kq else delta.real)
-    if kq == 0.0:
-        return delta.real
-    # kappa_q^2 underflows to 0 below kappa_q ~ 2e-162: divide by it only below kappa_q
-    below = x < kq
-    return np.where(below, (denom * delta).imag / np.where(below, kq ** 2, 1.0), delta.real)
-
-
 def _turned_terms(x, kappa_c, kappa_q):
     """Num and Den turned real: N' and D', times kappa_q^2 below kappa_q.
 
     Below kappa_q the turn is -i*conj(sqrt(zw)) = -i*(e + S)/kappa_q^2, since
     sqrt(zw) has modulus one; above it Num and Den are already real.  The
-    positive factor kappa_q^2 is kept: it changes no sign and no theta.
+    positive factor kappa_q^2 is kept: it changes no sign, no theta and no f.
+    A scalar is evaluated as a one-element array: numpy's array loops round
+    complex products differently from its scalar arithmetic, and this way a
+    scalar gives exactly the value it has as an array element.
     """
+    shape = np.shape(x)
+    x = np.atleast_1d(x)
     num, den, denom = _matching_terms(x, kappa_c, kappa_q)
     turn = np.where(x < kappa_q, -1j * denom, 1.0)
-    return (turn * num).real, (turn * den).real
+    return (turn * num).real.reshape(shape), (turn * den).real.reshape(shape)
+
+
+def quantization_function(x, prob: QuantizationProblem):
+    """f(x) = -x*N'/D' on scalars or arrays, and where it is undefined.
+
+    Returns (f, fault) of the shape of x.  fault is "" where f is defined,
+    and otherwise "domain" outside the bound window (0, x_max),
+    "degenerate" inside the threshold band |x - kappa_q| < 1e-9, or "pole"
+    where |D'| < 1e-300; f is 0.0 there.  N' and D' are evaluated only
+    where x lies in the window and off the band.
+    """
+    x = np.asarray(x, dtype=float)
+    domain = ~((0.0 < x) & (x < prob.x_max))
+    degenerate = ~domain & (np.abs(x - prob.kappa_q) < DEGENERATE_HALF_WIDTH)
+    inside = ~(domain | degenerate)
+    pole = np.zeros_like(inside)
+    f = np.zeros_like(x)
+    n_turned, d_turned = _turned_terms(x[inside], prob.kappa_c, prob.kappa_q)
+    pole[inside] = np.abs(d_turned) < _TINY
+    f[inside] = np.divide(-x[inside] * n_turned, d_turned,
+                          out=np.zeros_like(d_turned), where=~pole[inside])
+    fault = np.select([domain, degenerate, pole], ["domain", "degenerate", "pole"], "")
+    return f, fault
+
+
+def f_quantization(x: float, prob: QuantizationProblem) -> float:
+    """Right-hand side f(x) = -x*N'/D' of the quantization condition tan(x) = f(x).
+
+    The one value of `quantization_function` at x, with its faults raised
+    as typed errors.
+    """
+    value, fault = quantization_function(x, prob)
+    if fault == "domain":
+        raise ValueError(f"x = {x!r} outside the bound window (0, {prob.x_max!r})")
+    if fault == "degenerate":
+        raise DegenerateEnergyError(f"x = {x!r} inside the threshold band at {prob.kappa_q!r}")
+    if fault == "pole":
+        raise QuantizationPoleError(f"D' vanishes at x = {x!r}")
+    return float(value)
+
+
+def mismatch(x, prob: QuantizationProblem):
+    """Real determinant R(x) = sin(x)*D' + x*cos(x)*N'; scalars or arrays.
+
+    N' and D' come from `_turned_terms`; below kappa_q R is divided by the
+    factor kappa_q^2 they carry there.  R = cos(x)*D'*(tan(x) - f(x)), so
+    it vanishes at the roots of the quantization condition, changes sign
+    there and nowhere else: it has no poles and no sign change at the
+    poles of f.  A scalar x gives a float.
+    """
+    kq = prob.kappa_q
+    n_turned, d_turned = _turned_terms(x, prob.kappa_c, kq)
+    r = np.sin(x) * d_turned + x * np.cos(x) * n_turned
+    # kappa_q^2 underflows to 0 below kappa_q ~ 2e-162: divide by it only below kappa_q
+    r = r / np.where(x < kq, kq ** 2, 1.0)
+    return r if np.ndim(r) else float(r)
 
 
 def expected_count(kappa_c, kappa_q=0.0):
@@ -359,8 +369,7 @@ def _lattice_roots(fun, x_top: float, tol: float, kappa_q: float = 0.0):
 
 def validated_states(roots, prob: QuantizationProblem, *,
                      pot: PotentialSpec | None = None,
-                     validate_tol: float = 1e-8,
-                     norm_step: float | None = None) -> list[BoundState]:
+                     validate_tol: float = 1e-8) -> list[BoundState]:
     """The states at the roots that pass both checks at validate_tol.
 
     A root must have a determinant residual and, once matched, a continuity
@@ -376,8 +385,7 @@ def validated_states(roots, prob: QuantizationProblem, *,
             continue
         energy = (x / prob.a) ** 2
         try:
-            radial = solve_coefficients(energy, pot, det_tol=validate_tol,
-                                        norm_step=norm_step)
+            radial = solve_coefficients(energy, pot, det_tol=validate_tol)
         except (NotARootError, DegenerateEnergyError):
             continue
         if not radial.continuity_residual < validate_tol:
@@ -391,8 +399,7 @@ def validated_states(roots, prob: QuantizationProblem, *,
 def find_bound_states(prob: QuantizationProblem, *,
                       pot: PotentialSpec | None = None,
                       refine_tol: float = 1e-12,
-                      validate_tol: float = 1e-8,
-                      norm_step: float | None = None) -> BoundStateSet:
+                      validate_tol: float = 1e-8) -> BoundStateSet:
     """All bound states of the well, isolated, refined and validated.
 
     The real determinant R of `mismatch` is sampled on the pi-lattice of the
@@ -417,8 +424,7 @@ def find_bound_states(prob: QuantizationProblem, *,
         return BoundStateSet(prob, ())
     roots, flagged = _lattice_roots(lambda t: mismatch(t, prob), prob.x_max,
                                     refine_tol, prob.kappa_q)
-    states = validated_states(roots, prob, pot=pot, validate_tol=validate_tol,
-                              norm_step=norm_step)
+    states = validated_states(roots, prob, pot=pot, validate_tol=validate_tol)
     for x in flagged:
         # the root position is pinned only to the excluded band; residuals
         # at the band edge are diagnostics, not validation
@@ -450,8 +456,7 @@ def complex_limit_roots(kappa: float, *,
 
 def trial_complex_states(prob: QuantizationProblem, *,
                          refine_tol: float = 1e-12,
-                         validate_tol: float = 1e-8,
-                         norm_step: float | None = None) -> BoundStateSet:
+                         validate_tol: float = 1e-8) -> BoundStateSet:
     """Bound states of the trial-complex well of depth kappa_t.
 
     The comparison well replaces the quaternionic potential by a purely
@@ -464,7 +469,7 @@ def trial_complex_states(prob: QuantizationProblem, *,
     if kt == 0.0:
         return BoundStateSet(trial_prob, (), no_binding=True)
     states = validated_states(complex_limit_roots(kt, refine_tol=refine_tol), trial_prob,
-                              validate_tol=validate_tol, norm_step=norm_step)
+                              validate_tol=validate_tol)
     return BoundStateSet(trial_prob, tuple(states))
 
 
@@ -483,20 +488,22 @@ def reality_report(prob: QuantizationProblem, n_samples: int) -> RealityReport:
 
     Returns the worst |Im(Num*conj(Den))| / (|Num*conj(Den)| + 1) and the
     worst ||zw| - 1| over n_samples midpoints of (0, kappa_q).  Raises
-    EmptyWindowError when kappa_q = 0.
+    EmptyWindowError when kappa_q = 0, and also when kappa_q^4 leaves the
+    normal range of a float (kappa_q below about 1.2e-77): there x^4 and
+    kappa_q^4 underflow, so zw = kappa_q^4/(e + S)^2 is 0/0 or overflows.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     top = min(prob.kappa_q, prob.x_max)
     if top <= 0.0:
-        raise EmptyWindowError("no below-threshold window when kappa_q = 0")
+        raise EmptyWindowError("kappa_q = 0")
+    if top ** 4 < sys.float_info.min:
+        raise EmptyWindowError(f"kappa_q^4 underflows at kappa_q = {top:.3g}")
     xs = (np.arange(n_samples) + 0.5) * (top / n_samples)
-    num, den = _num_den(xs, prob.kappa_c, prob.kappa_q)
+    num, den, denom = _matching_terms(xs, prob.kappa_c, prob.kappa_q)
     p = num * np.conjugate(den)
     rel_imag = np.abs(p.imag) / (np.abs(p) + 1.0)
-    q4 = prob.kappa_q ** 4
-    _, _, denom = exterior(xs * xs, prob.kappa_c ** 2, q4)
-    zw = q4 / denom ** 2
+    zw = prob.kappa_q ** 4 / denom ** 2
     deviation = np.abs(np.abs(zw) - 1.0)
     return RealityReport(float(rel_imag.max()), float(deviation.max()),
                          n_samples, (0.0, float(top)))

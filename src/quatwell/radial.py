@@ -187,18 +187,6 @@ def characteristic_data(energy: float, pot: PotentialSpec) -> CharacteristicData
     return CharacteristicData(nu_minus, nu_plus, w, z, classify_regime(energy, pot))
 
 
-def characteristic_exponents(energy: float, pot: PotentialSpec) -> tuple[complex, complex]:
-    """Exterior decay rates (nu_minus, nu_plus) of characteristic_data."""
-    cd = characteristic_data(energy, pot)
-    return cd.nu_minus, cd.nu_plus
-
-
-def symplectic_factors(energy: float, pot: PotentialSpec) -> tuple[complex, complex]:
-    """Coupling factors (w, z) of characteristic_data; zero for a complex well."""
-    cd = characteristic_data(energy, pot)
-    return cd.w, cd.z
-
-
 def eval_region1(r: float, state: RadialState) -> Quaternion:
     """Interior solution sin(eps*r)*alpha1 + j*sinh(eps*r)*gamma1."""
     if r < 0.0 or r > state.potential.a:
@@ -225,8 +213,7 @@ def eval_radial(r: float, state: RadialState) -> Quaternion:
 
 
 def solve_coefficients(energy: float, pot: PotentialSpec, *,
-                       det_tol: float = 1e-8,
-                       norm_step: float | None = None) -> RadialState:
+                       det_tol: float = 1e-8) -> RadialState:
     """Match interior and exterior solutions at a validated quantization root.
 
     The two continuity conditions per symplectic component reduce, after
@@ -282,8 +269,7 @@ def solve_coefficients(energy: float, pot: PotentialSpec, *,
     slope_scale = max(*(abs(v) for v in slope_in + slope_out), _TINY)
     continuity = max(val_err / val_scale, slope_err / slope_scale)
 
-    step = a / 2048.0 if norm_step is None else norm_step
-    raw = _interior_norm(eps, alpha1, gamma1, a, step) + _exterior_norm(b, d, cd)
+    raw = _interior_norm(eps, alpha1, gamma1, a, a / 2048.0) + _exterior_norm(b, d, cd)
     scale = 1.0 / math.sqrt(raw)
     b *= scale
     d *= scale

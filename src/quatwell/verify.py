@@ -185,8 +185,8 @@ def _regime_laws_check(rng, n, tol):
 def _reality_checks(prob, n_samples, tol_imag, tol_zw):
     try:
         report = reality_report(prob, n_samples)
-    except EmptyWindowError:
-        empty = "empty window (kappa_q = 0)"
+    except EmptyWindowError as exc:
+        empty = f"empty window ({exc})"
         yield _check("reality-below-threshold", 0.0, tol_imag, empty)
         yield _check("unit-modulus-zw", 0.0, tol_zw, empty)
         return

@@ -3,10 +3,21 @@
 import csv
 import io
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
+from quatwell import quantization
 from quatwell.cli import main
+from quatwell.quantization import (
+    QuantizationPoleError,
+    QuantizationProblem,
+    f_quantization,
+    mismatch,
+)
+from quatwell.radial import DegenerateEnergyError
 
 KC_STR = "15.707963267948966"
 KQ_STR = "7.853981633974483"
@@ -16,6 +27,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def reject_constant(constant):
+    raise ValueError(f"{constant} is not strict JSON")
 
 
 def solve_json(capsys, *argv):
@@ -299,7 +314,105 @@ class TestCurves:
             assert json_row[6] == csv_row[6]
 
 
+def _scalar_curve_row(x, prob):
+    """One curves row from the scalar functions, one sample at a time."""
+    marks = []
+    tan_val = float(np.tan(x))
+    if abs(tan_val) > 1e3:
+        tan_val = math.copysign(1e3, tan_val)
+        marks.append("tan_pole")
+    row = [x, tan_val]
+    for label, p in (("f_quat", prob),
+                     ("f_complex", QuantizationProblem(prob.kappa_c, 0.0, prob.a)),
+                     ("f_trial", QuantizationProblem(prob.x_max, 0.0, prob.a))):
+        try:
+            value = f_quantization(x, p)
+        except DegenerateEnergyError:
+            value, kind = 0.0, "degenerate"
+        except QuantizationPoleError:
+            value, kind = 0.0, "pole"
+        except ValueError:
+            value, kind = 0.0, "domain"
+        else:
+            kind = "clip" if abs(value) > 1e3 else ""
+            if kind:
+                value = math.copysign(1e3, value)
+        if kind:
+            marks.append(f"{label}_{kind}")
+        row.append(value)
+    return row + [mismatch(x, prob), ";".join(marks)]
+
+
+# (kappa_c, kappa_q, grid): FIG1 with f_complex outside its domain; the
+# middle sample on pi/2, a pole of tan; x_max = 2 with the middle sample on
+# kappa_q = 1; x_max = 1e-8, whose first samples lie in every column's band
+# at 0; and a sample 1e-8 below kappa_c = 1, where |f_complex| > 1e3
+CURVE_WELLS = [
+    (KC_STR, KQ_STR, 300),
+    (repr(math.pi), "0", 3),
+    (repr(15 ** 0.25), "1", 3),
+    ("1e-8", "0", 20),
+    ("1", repr((((4 / 3) * (1 - 1e-8)) ** 4 - 1) ** 0.25), 3),
+    ("10", "4", 25),
+]
+
+
+def _curve_rows(capsys, kappa_c, kappa_q, grid):
+    code, out = run_cli(capsys, "curves", "--kappa-c", kappa_c, "--kappa-q", kappa_q,
+                        "--grid", str(grid), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == grid
+    return [[float(v) for v in row[:6]] + [row[6]] for row in rows]
+
+
+class TestCurvesOneRealForm:
+    """The array columns of curves against the scalar f_quantization and mismatch."""
+
+    @pytest.mark.parametrize("kappa_c, kappa_q, grid", CURVE_WELLS)
+    def test_rows_equal_scalar_values(self, capsys, kappa_c, kappa_q, grid):
+        prob = QuantizationProblem(float(kappa_c), float(kappa_q))
+        for row in _curve_rows(capsys, kappa_c, kappa_q, grid):
+            assert row == _scalar_curve_row(row[0], prob)
+
+    def test_every_marker_kind(self, capsys, monkeypatch):
+        seen = set()
+        for well in CURVE_WELLS:
+            seen.update(t for row in _curve_rows(capsys, *well) for t in row[6].split(";"))
+
+        # poles and clipped values of every f column: N' = 1 and D' = 0 below
+        # x = 3, D' = 1e-6 up to x = 6, D' = 1 above
+        def turned(x, kappa_c, kappa_q):
+            x = np.asarray(x, dtype=float)
+            return np.ones_like(x), np.where(x < 3.0, 0.0, np.where(x < 6.0, 1e-6, 1.0))
+
+        monkeypatch.setattr(quantization, "_turned_terms", turned)
+        prob = QuantizationProblem(10.0, 4.0)
+        rows = _curve_rows(capsys, "10", "4", 25)
+        for row in rows:
+            assert row == _scalar_curve_row(row[0], prob)
+        seen.update(t for row in rows for t in row[6].split(";"))
+        # f_quat and f_trial are defined on all of (0, x_max), where the samples lie
+        kinds = {"tan_pole"} | {f"{label}_{kind}"
+                                for label in ("f_quat", "f_complex", "f_trial")
+                                for kind in ("degenerate", "pole", "clip")}
+        assert seen - {""} == kinds | {"f_complex_domain"}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("kappa_q", ["1e-78", "1e-100", "1e-160", "1e-300"])
+    def test_tiny_kappa_q_prints_strict_json(self, capsys, kappa_q):
+        # kappa_q^4 underflows: the below-threshold window counts as empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, "verify", "--kappa-c", "5", "--kappa-q", kappa_q)
+        doc = json.loads(out, parse_constant=reject_constant)
+        assert code == 0
+        assert doc["diagnostics"]["all_passed"] is True
+        reality = next(e for e in doc["results"]
+                       if e["property"] == "reality-below-threshold")
+        assert reality["detail"].startswith("empty window (kappa_q^4 underflows")
+
     def test_default_run_passes(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 0

@@ -22,6 +22,7 @@ from quatwell.quantization import (
     f_quantization,
     find_bound_states,
     mismatch,
+    quantization_function,
     reality_report,
     trial_complex_states,
     verify_determinant,
@@ -104,7 +105,7 @@ class TestQuantizationFunction:
         assert f_quantization(KC / math.sqrt(2.0), prob) == pytest.approx(-1.0, rel=1e-14)
 
     def test_below_threshold_is_real(self):
-        # the complex-arithmetic evaluation must discard only rounding noise
+        # below kappa_q, f comes from the turned real pair N', D'
         x = 0.5 * FIG1.kappa_q
         value = f_quantization(x, FIG1)
         assert math.isfinite(value)
@@ -119,10 +120,28 @@ class TestQuantizationFunction:
         with pytest.raises(DegenerateEnergyError):
             f_quantization(FIG1.kappa_q + 1e-10, FIG1)
 
+    def test_array_matches_scalar(self):
+        # f_quantization is the one value of the array function, faults included
+        kq = FIG1.kappa_q
+        xs = np.array([0.0, 0.5, kq - 1e-3, kq + 1e-10, kq + 1e-3, 10.0,
+                       FIG1.x_max, FIG1.x_max + 1.0])
+        values, faults = quantization_function(xs, FIG1)
+        assert faults.tolist() == ["domain", "", "", "degenerate", "", "",
+                                   "domain", "domain"]
+        errors = {"domain": ValueError, "degenerate": DegenerateEnergyError}
+        for x, value, fault in zip(xs.tolist(), values.tolist(), faults.tolist()):
+            if fault:
+                assert value == 0.0
+                with pytest.raises(errors[fault]):
+                    f_quantization(x, FIG1)
+            else:
+                assert f_quantization(x, FIG1) == value
+
     def test_pole_signal(self, monkeypatch):
         # a vanishing denominator must signal a pole, not return garbage
         import quatwell.quantization as qz
-        monkeypatch.setattr(qz, "_num_den", lambda x, kc, kq: (1.0 + 0j, 0j))
+        monkeypatch.setattr(qz, "_turned_terms",
+                            lambda x, kc, kq: (np.ones_like(x), np.zeros_like(x)))
         with pytest.raises(QuantizationPoleError):
             qz.f_quantization(1.0, FIG1)
 
@@ -155,6 +174,16 @@ class TestMismatch:
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
             assert mismatch(float(x), FIG1) == pytest.approx(float(v), rel=1e-14)
+
+    @pytest.mark.parametrize("prob", [FIG1, FIG2, QuantizationProblem(KC, 0.0),
+                                      QuantizationProblem(5.0, 1e-300)],
+                             ids=["fig1", "fig2", "complex", "tiny-kappa-q"])
+    def test_scalar_is_the_array_element_bit_for_bit(self, prob):
+        xs = np.linspace(1e-3, prob.x_max, 257)[:-1]
+        arr = mismatch(xs, prob)
+        scalars = [mismatch(x, prob) for x in xs.tolist()]
+        assert all(type(r) is float for r in scalars)
+        assert np.array_equal(np.array(scalars).view(np.int64), arr.view(np.int64))
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_kappa_q_is_the_complex_limit(self):
@@ -427,6 +456,17 @@ class TestRealityReport:
         assert report.max_zw_deviation < 1e-12
         assert report.n_samples == 1000
         assert report.window == (0.0, FIG1.kappa_q)
+
+    @pytest.mark.parametrize("kappa_q", [1e-78, 1e-100, 1e-300])
+    def test_underflowing_window_is_empty(self, kappa_q):
+        with pytest.raises(EmptyWindowError, match="underflows"):
+            reality_report(QuantizationProblem(5.0, kappa_q), 100)
+
+    def test_smallest_measured_window(self):
+        # kappa_q^4 just inside the normal range is still measured
+        report = reality_report(QuantizationProblem(5.0, 1.3e-77), 1000)
+        assert report.max_rel_imag < 1e-10
+        assert report.max_zw_deviation < 1e-12
 
     def test_sample_count_required(self):
         with pytest.raises(ValueError):

@@ -15,14 +15,12 @@ from quatwell.radial import (
     Regime,
     UnsupportedRegimeError,
     characteristic_data,
-    characteristic_exponents,
     classify_regime,
     eval_region1,
     eval_region2,
     ode_residual,
     radial_norm,
     solve_coefficients,
-    symplectic_factors,
 )
 from quatwell.quantization import QuantizationProblem, find_bound_states
 
@@ -74,12 +72,14 @@ class TestPotentialSpec:
 
 class TestCharacteristicExponents:
     def test_complex_well_reduction(self):
-        num, nup = characteristic_exponents(9.0, PotentialSpec(25.0))
+        cd = characteristic_data(9.0, PotentialSpec(25.0))
+        num, nup = cd.nu_minus, cd.nu_plus
         assert num == pytest.approx(4.0, rel=1e-15)
         assert nup == pytest.approx(math.sqrt(34.0), rel=1e-15)
 
     def test_below_threshold_example(self):
-        num, nup = characteristic_exponents(2.4, PotentialSpec(3.0, 0.0, 4.0))
+        cd = characteristic_data(2.4, PotentialSpec(3.0, 0.0, 4.0))
+        num, nup = cd.nu_minus, cd.nu_plus
         assert abs(num - (1.9218 - 0.8326j)) < 1e-3
         assert nup == num.conjugate()
 
@@ -91,7 +91,8 @@ class TestCharacteristicExponents:
             if pot.q_threshold < 1e-2:
                 continue
             energy = 0.5 * pot.q_threshold
-            num, nup = characteristic_exponents(energy, pot)
+            cd = characteristic_data(energy, pot)
+            num, nup = cd.nu_minus, cd.nu_plus
             s = cmath.sqrt(complex(energy**2 - pot.q_threshold**2, 0.0))
             assert abs(num - cmath.sqrt(pot.v1 - s)) < 1e-12 * abs(num)
             assert abs(nup - cmath.sqrt(pot.v1 + s)) < 1e-12 * abs(nup)
@@ -102,7 +103,8 @@ class TestCharacteristicExponents:
             pot = _random_well(rng)
             energy = _bound_energy(rng, pot)
             const = pot.v1**2 + pot.q_threshold**2 - energy**2
-            for nu in characteristic_exponents(energy, pot):
+            cd = characteristic_data(energy, pot)
+            for nu in (cd.nu_minus, cd.nu_plus):
                 nu2 = nu * nu
                 resid = abs(nu2 * nu2 - 2.0 * pot.v1 * nu2 + const)
                 scale = abs(nu2) ** 2 + 2.0 * pot.v1 * abs(nu2) + abs(const)
@@ -113,32 +115,35 @@ class TestCharacteristicExponents:
         for _ in range(200):
             pot = _random_well(rng)
             energy = _bound_energy(rng, pot)
-            num, nup = characteristic_exponents(energy, pot)
-            assert num.real > 0.0
-            assert nup.real > 0.0
+            cd = characteristic_data(energy, pot)
+            assert cd.nu_minus.real > 0.0
+            assert cd.nu_plus.real > 0.0
 
     def test_degenerate_band_raises(self):
         pot = PotentialSpec(3.0, 0.0, 4.0)
         with pytest.raises(DegenerateEnergyError):
-            characteristic_exponents(4.0 + 1e-10, pot)
+            characteristic_data(4.0 + 1e-10, pot)
         with pytest.raises(DegenerateEnergyError):
-            characteristic_exponents(5.0 - 1e-10, pot)
+            characteristic_data(5.0 - 1e-10, pot)
         with pytest.raises(ValueError):
-            characteristic_exponents(0.0, pot)
+            characteristic_data(0.0, pot)
 
 
 class TestSymplecticFactors:
     def test_complex_limit_is_zero(self):
-        assert symplectic_factors(3.0, PotentialSpec(25.0)) == (0j, 0j)
+        cd = characteristic_data(3.0, PotentialSpec(25.0))
+        assert (cd.w, cd.z) == (0j, 0j)
 
     def test_mid_regime_example(self):
-        w, z = symplectic_factors(13.0, PotentialSpec(9.0, 3.0, 4.0))
+        cd = characteristic_data(13.0, PotentialSpec(9.0, 3.0, 4.0))
+        w, z = cd.w, cd.z
         assert w == pytest.approx(-0.16 - 0.12j, abs=1e-15)
         assert z == pytest.approx(-0.16 + 0.12j, abs=1e-15)
         assert z * w == pytest.approx(0.04, abs=1e-15)
 
     def test_below_threshold_example(self):
-        w, z = symplectic_factors(3.0, PotentialSpec(9.0, 5.0, 0.0))
+        cd = characteristic_data(3.0, PotentialSpec(9.0, 5.0, 0.0))
+        w, z = cd.w, cd.z
         assert w == pytest.approx(-0.8 - 0.6j, abs=1e-15)
         assert z == pytest.approx(0.8 + 0.6j, abs=1e-15)
         phase = cmath.exp(-2j * math.atan2(4.0, 3.0))
@@ -157,14 +162,12 @@ class TestSymplecticFactors:
             v2r = pot.v2 * math.cos(theta) - pot.v3 * math.sin(theta)
             v3r = pot.v2 * math.sin(theta) + pot.v3 * math.cos(theta)
             rot = PotentialSpec(pot.v1, v2r, v3r, pot.a)
-            w1, z1 = symplectic_factors(energy, pot)
-            w2, z2 = symplectic_factors(energy, rot)
-            assert abs(w2) == pytest.approx(abs(w1), abs=1e-12)
-            assert z2 * w2 == pytest.approx(z1 * w1, abs=1e-12)
-            num1, nup1 = characteristic_exponents(energy, pot)
-            num2, nup2 = characteristic_exponents(energy, rot)
-            assert abs(num2 - num1) < 1e-12 * abs(num1)
-            assert abs(nup2 - nup1) < 1e-12 * abs(nup1)
+            cd1 = characteristic_data(energy, pot)
+            cd2 = characteristic_data(energy, rot)
+            assert abs(cd2.w) == pytest.approx(abs(cd1.w), abs=1e-12)
+            assert cd2.z * cd2.w == pytest.approx(cd1.z * cd1.w, abs=1e-12)
+            assert abs(cd2.nu_minus - cd1.nu_minus) < 1e-12 * abs(cd1.nu_minus)
+            assert abs(cd2.nu_plus - cd1.nu_plus) < 1e-12 * abs(cd1.nu_plus)
 
 
 def _synthetic_state(pot, energy, alpha1=0j, gamma1=0j, beta2_a=0j, delta2_a=0j):
